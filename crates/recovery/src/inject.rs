@@ -786,6 +786,14 @@ mod tests {
             } else {
                 assert!(res.is_ok());
             }
+            // Snapshot only once the burst is complete: on the threads backend
+            // another victim's `kill_ranks` may still be marking the rest of the
+            // rack. The counter is bumped after each rank's liveness flag, so four
+            // events imply four failed ranks.
+            while ctx.failure_events() < 4 {
+                ctx.wait_for_failure_events(4);
+                std::thread::yield_now();
+            }
             Ok((ctx.failed_ranks(), ctx.failure_events()))
         });
         for rank in 0..8 {
