@@ -12,9 +12,9 @@
 //! * `MATCH_JOBS` — number of experiments run concurrently by the
 //!   [`SuiteEngine`] (default: the host's available parallelism; the `match-bench`
 //!   CLI also accepts `--jobs N`),
-//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`threads` or
-//!   `coop`; results are bit-identical, only host scaling differs; the CLI also
-//!   accepts `--backend NAME`),
+//! * `MATCH_BACKEND` — the scheduler backend simulated jobs run on (`coop`, the
+//!   default, or `par`; results are bit-identical, only host scaling differs; the
+//!   CLI also accepts `--backend NAME`),
 //! * `MATCH_RACKS` — rack-count override for the experiment topology (the `nracks`
 //!   sweep knob; must divide the paper-layout node count; the CLI also accepts
 //!   `--racks N`),

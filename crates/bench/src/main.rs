@@ -1,7 +1,7 @@
 //! A small CLI that regenerates any table or figure of the MATCH paper on demand.
 //!
 //! ```text
-//! match-bench [--jobs N] [--json] [--backend threads|coop|par] [--workers N] \
+//! match-bench [--jobs N] [--json] [--backend coop|par] [--workers N] \
 //!             [--racks N] [--expect-warm] \
 //!             [table1|fig5|...|fig10|mtbf|findings|micro|scale|cachebench|explore|all ...]
 //! match-bench cache stats|gc|clear
@@ -23,11 +23,10 @@
 //! of `all`.
 //!
 //! `--backend` selects the scheduler backend simulated jobs run on (equivalent to
-//! `MATCH_BACKEND`): `threads` is one OS thread per rank, `coop` multiplexes all
-//! ranks of a job as fibers over one OS thread, `par` shards those fibers across a
-//! small pool of worker threads (`--workers N`, equivalent to `MATCH_WORKERS`).
-//! Figure output is bit-identical across all three and any worker count; `coop`
-//! and `par` are the ones that scale to thousands of ranks. `--racks N`
+//! `MATCH_BACKEND`): `coop` (the default) multiplexes all ranks of a job as fibers
+//! over one OS thread, `par` shards those fibers across a small pool of worker
+//! threads (`--workers N`, equivalent to `MATCH_WORKERS`). Figure output is
+//! bit-identical across both and any worker count. `--racks N`
 //! regroups the experiment topology's nodes into `N` racks (equivalent to
 //! `MATCH_RACKS`; must divide the paper-layout node count). The `scale` target
 //! sweeps rank counts per backend (and worker counts for `par`) and records
@@ -436,7 +435,7 @@ fn main() {
                     // starts, single-threaded) routes every target through it.
                     Ok(b) => std::env::set_var(match_core::mpisim::BACKEND_ENV_VAR, b.name()),
                     Err(error) => {
-                        eprintln!("--backend: {error} (expected threads|coop|par)");
+                        eprintln!("--backend: {error} (expected coop|par)");
                         std::process::exit(2);
                     }
                 }

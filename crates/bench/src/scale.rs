@@ -15,15 +15,12 @@
 //! Environment knobs:
 //!
 //! * `MATCH_SCALE_RANKS` — comma-separated rank ladder (default `512,1024,2048,4096`),
-//! * `MATCH_SCALE_BACKENDS` — subset of `threads,coop,par` (default all three),
+//! * `MATCH_SCALE_BACKENDS` — subset of `coop,par` (default both),
 //! * `MATCH_SCALE_WORKERS` — comma-separated worker counts swept for the `par`
-//!   backend (default `1,2,4,8`; `threads` and `coop` have no worker dimension and
-//!   run one cell per rank count),
+//!   backend (default `1,2,4,8`; `coop` has no worker dimension and runs one cell
+//!   per rank count),
 //! * `MATCH_SCALE_ITERS` — iterations of the kernel per run (default 5),
-//! * `MATCH_SCALE_THREADS_MAX` — largest rank count attempted on the thread backend
-//!   (default 2048; thread-per-rank jobs beyond this tend to exhaust host threads or
-//!   take unreasonably long, which is the point the target demonstrates),
-//! * `MATCH_SCALE_STACK_KB` — per-rank stack in KiB (default 256; all backends).
+//! * `MATCH_SCALE_STACK_KB` — per-rank fiber stack in KiB (default 256).
 
 use std::time::Instant;
 
@@ -35,21 +32,19 @@ use match_core::table::TextTable;
 pub struct ScaleRow {
     /// The scheduler backend.
     pub backend: SchedBackend,
-    /// Worker threads used by the `par` backend for this cell; `1` for the backends
-    /// without a worker dimension (`threads`, `coop`).
+    /// Worker threads used by the `par` backend for this cell; `1` for `coop`, which
+    /// has no worker dimension.
     pub workers: usize,
     /// Number of simulated ranks.
     pub nranks: usize,
-    /// Host wall-clock seconds for the whole job, or `None` when the cell was
-    /// skipped or failed.
+    /// Host wall-clock seconds for the whole job, or `None` when the run failed.
     pub wall_secs: Option<f64>,
     /// Simulated virtual seconds (`RunOutcome::max_time`); identical across backends
     /// by construction.
     pub virt_secs: Option<f64>,
     /// Process resident set size after the run, in MiB (`VmRSS`).
     pub rss_mib: Option<f64>,
-    /// Why the cell has no measurement (skipped by the thread cap, or the run
-    /// failed), when it has none.
+    /// Why the cell has no measurement (the run failed), when it has none.
     pub note: Option<String>,
 }
 
@@ -111,7 +106,7 @@ fn proc_status_mib(field: &str) -> Option<f64> {
 
 /// The synthetic kernel: `iters` rounds of compute + ring halo exchange + allreduce.
 /// Returns the job's simulated completion time, or the panic note when the backend
-/// could not run the job at all (e.g. thread exhaustion).
+/// could not run the job at all (e.g. fiber stacks exhausting memory).
 fn run_kernel(
     backend: SchedBackend,
     workers: usize,
@@ -161,11 +156,10 @@ pub fn run() -> ScaleReport {
     let backends = backends_from_env();
     let worker_ladder = env_list("MATCH_SCALE_WORKERS", &[1, 2, 4, 8]);
     let iters = env_usize("MATCH_SCALE_ITERS", 5) as u64;
-    let threads_max = env_usize("MATCH_SCALE_THREADS_MAX", 2048);
     let stack = env_usize("MATCH_SCALE_STACK_KB", 256) * 1024;
 
-    // `par` is swept over the worker ladder; the other backends have no worker
-    // dimension and get one cell per rank count.
+    // `par` is swept over the worker ladder; `coop` has no worker dimension and gets
+    // one cell per rank count.
     let mut cells: Vec<(SchedBackend, usize)> = Vec::new();
     for &backend in &backends {
         if backend == SchedBackend::Par {
@@ -184,22 +178,6 @@ pub fn run() -> ScaleReport {
             backend.to_string()
         };
         for &nranks in &ranks {
-            if backend == SchedBackend::Threads && nranks > threads_max {
-                println!(
-                    "[scale] {label}/{nranks}: skipped (over MATCH_SCALE_THREADS_MAX={threads_max}; \
-                     thread-per-rank is the ceiling this target demonstrates)"
-                );
-                report.rows.push(ScaleRow {
-                    backend,
-                    workers,
-                    nranks,
-                    wall_secs: None,
-                    virt_secs: None,
-                    rss_mib: None,
-                    note: Some(format!("skipped (> threads cap {threads_max})")),
-                });
-                continue;
-            }
             let started = Instant::now();
             match run_kernel(backend, workers, nranks, iters, stack) {
                 Ok(virt) => {
@@ -324,13 +302,7 @@ mod tests {
 
     #[test]
     fn kernel_agrees_across_backends_at_smoke_scale() {
-        let a = run_kernel(SchedBackend::Threads, 1, 16, 3, 256 * 1024).unwrap();
-        let b = run_kernel(SchedBackend::Coop, 1, 16, 3, 256 * 1024).unwrap();
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "virtual time must be backend-free"
-        );
+        let a = run_kernel(SchedBackend::Coop, 1, 16, 3, 256 * 1024).unwrap();
         for workers in [1, 2, 4] {
             let c = run_kernel(SchedBackend::Par, workers, 16, 3, 256 * 1024).unwrap();
             assert_eq!(

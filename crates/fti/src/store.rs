@@ -163,8 +163,8 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Creates an empty store behind an `Arc`, ready to be shared across rank threads
-    /// and application restarts.
+    /// Creates an empty store behind an `Arc`, ready to be shared across ranks and
+    /// application restarts.
     pub fn shared() -> Arc<Self> {
         Arc::new(CheckpointStore::default())
     }

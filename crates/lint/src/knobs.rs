@@ -31,8 +31,8 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "MATCH_BACKEND",
-        default: "threads",
-        doc: "rank scheduler backend: threads, coop or par",
+        default: "coop",
+        doc: "rank scheduler backend: coop or par",
     },
     Knob {
         name: "MATCH_CACHE",
@@ -141,7 +141,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "MATCH_SCALE_BACKENDS",
-        default: "threads,coop,par",
+        default: "coop,par",
         doc: "backends swept by the scale target",
     },
     Knob {
@@ -158,11 +158,6 @@ pub const KNOBS: &[Knob] = &[
         name: "MATCH_SCALE_STACK_KB",
         default: "256",
         doc: "fiber stack size of the scale target, KiB",
-    },
-    Knob {
-        name: "MATCH_SCALE_THREADS_MAX",
-        default: "2048",
-        doc: "largest rank count the scale target runs on the threads backend",
     },
     Knob {
         name: "MATCH_SCALE_WORKERS",

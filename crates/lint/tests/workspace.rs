@@ -21,6 +21,10 @@ fn workspace_is_lint_clean() {
         "the workspace must stay lint-clean:\n{}",
         rendered.join("\n")
     );
+    assert_eq!(
+        report.waivers_used, 0,
+        "the workspace must stay clean without waivers"
+    );
 }
 
 #[test]

@@ -9,56 +9,21 @@
 //! the completion time.
 //!
 //! Rounds are strictly ordered: a member cannot deposit into round *n+1* until every
-//! member has collected its output from round *n*. Waiting is implemented as a polling
-//! loop with a caller-supplied `abort_check`, so members blocked in a collective whose
-//! peers have failed observe the failure (ULFM semantics) instead of hanging.
+//! member has collected its output from round *n*. A waiting member parks its fiber on
+//! the slot's wait channel and re-evaluates a caller-supplied `abort_check` every time
+//! it is woken, so members blocked in a collective whose peers have failed observe the
+//! failure (ULFM semantics) instead of hanging.
 
 use std::any::Any;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::MpiError;
-use crate::sched::WaitToken;
+use crate::sched::{WaitKey, Yielder};
 use crate::time::SimTime;
 
 /// Type-erased contribution/output values exchanged through a rendezvous.
 pub type AnyBox = Box<dyn Any + Send>;
-
-/// How a member blocked inside [`CollSlot::run_with_wait`] waits for round progress —
-/// the point where the scheduler backend plugs into the rendezvous engine.
-#[derive(Clone, Copy)]
-pub enum SlotWait<'a> {
-    /// Thread backend: block on the slot's internal condition variable, with a long
-    /// timeout as a pure fallback (failure transitions wake waiters explicitly).
-    Condvar,
-    /// Fiber backends (`coop`/`par`): `prepare` snapshots the slot's wait channel
-    /// *before* the wait condition is re-checked, `park` releases the slot lock and
-    /// suspends the calling task until woken (or returns immediately if a wake
-    /// invalidated the token), and `wake` is invoked by whichever member publishes
-    /// progress (outputs ready, round drained) so parked members resume. No timeouts
-    /// exist on this path: slot-progress wakes are issued under the slot lock, and
-    /// cluster-wide transitions invalidate prepared tokens, so no wakeup can be lost.
-    Park {
-        /// Snapshots the slot's wait channel (called with the slot lock held, before
-        /// the condition check the park guards).
-        prepare: &'a dyn Fn() -> WaitToken,
-        /// Suspends the calling task (called with the slot lock released).
-        park: &'a dyn Fn(WaitToken),
-        /// Wakes every task parked on this slot.
-        wake: &'a dyn Fn(),
-    },
-}
-
-impl SlotWait<'_> {
-    /// Signals cooperative waiters that the slot's state advanced (no-op for the
-    /// condvar strategy, whose notification happens inside the slot).
-    fn notify(&self) {
-        if let SlotWait::Park { wake, .. } = self {
-            wake();
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -111,7 +76,6 @@ impl RoundState {
 pub struct CollSlot {
     nmembers: usize,
     state: Mutex<RoundState>,
-    cv: Condvar,
 }
 
 impl std::fmt::Debug for CollSlot {
@@ -126,12 +90,6 @@ impl std::fmt::Debug for CollSlot {
     }
 }
 
-/// Fallback timeout between abort-condition re-checks while waiting. Failure, revoke
-/// and abort transitions wake waiters explicitly (see [`CollSlot::wake_all`]), so this
-/// only bounds the delay of a lost race between checking and sleeping; it is long
-/// enough that idle members no longer burn the host CPU with wake-ups.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
-
 impl CollSlot {
     /// Creates a slot for a group of `nmembers` members.
     ///
@@ -143,7 +101,6 @@ impl CollSlot {
         CollSlot {
             nmembers,
             state: Mutex::new(RoundState::fresh(nmembers)),
-            cv: Condvar::new(),
         }
     }
 
@@ -154,7 +111,8 @@ impl CollSlot {
 
     /// Executes one rendezvous round for member `member`.
     ///
-    /// * `now` — the member's virtual time on entry.
+    /// * `now` — the member's virtual time on entry (it also orders the member in its
+    ///   scheduler's run queue whenever it is woken from a park).
     /// * `cost` — the modelled cost of the collective as seen by this member; the
     ///   completion time is `max(entry times) + max(declared costs)`, which keeps the
     ///   result deterministic even when members declare different payload sizes (e.g. a
@@ -163,8 +121,14 @@ impl CollSlot {
     /// * `finish` — run exactly once per round, by the last member to deposit; receives
     ///   all contributions ordered by member index and must return exactly one output
     ///   per member.
-    /// * `abort_check` — polled while waiting; returning `Some(err)` makes this member
-    ///   abandon the round with `Err(err)` (used for failure notification).
+    /// * `abort_check` — re-evaluated every time the waiting member is woken;
+    ///   returning `Some(err)` makes this member abandon the round with `Err(err)`
+    ///   (used for failure notification).
+    /// * `yielder` — the member's park/wake handle. A waiting member parks on the
+    ///   slot's wait channel; whichever member publishes progress (outputs ready,
+    ///   round drained) wakes it under the slot lock, and cluster-wide transitions
+    ///   (which change what `abort_check` returns) invalidate the token read before
+    ///   each check, so no wakeup can be lost.
     ///
     /// Returns the common completion time and this member's output.
     ///
@@ -173,35 +137,8 @@ impl CollSlot {
     /// Returns whatever error `abort_check` produced, or [`MpiError::Internal`] if the
     /// finish closure returned the wrong number of outputs or a duplicate member index
     /// was used.
-    pub fn run(
-        &self,
-        member: usize,
-        now: SimTime,
-        cost: SimTime,
-        contribution: AnyBox,
-        finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> Vec<AnyBox>,
-        abort_check: impl FnMut() -> Option<MpiError>,
-    ) -> Result<(SimTime, AnyBox), MpiError> {
-        self.run_with_wait(
-            member,
-            now,
-            cost,
-            contribution,
-            finish,
-            abort_check,
-            SlotWait::Condvar,
-        )
-    }
-
-    /// Like [`CollSlot::run`], but with an explicit waiting strategy — the scheduler
-    /// backends differ only in how a member blocks (condvar versus cooperative park),
-    /// never in the rendezvous logic itself.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`CollSlot::run`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_with_wait(
+    pub(crate) fn run(
         &self,
         member: usize,
         now: SimTime,
@@ -209,8 +146,9 @@ impl CollSlot {
         contribution: AnyBox,
         finish: impl FnOnce(Vec<(SimTime, AnyBox)>) -> Vec<AnyBox>,
         mut abort_check: impl FnMut() -> Option<MpiError>,
-        wait: SlotWait<'_>,
+        yielder: &Yielder,
     ) -> Result<(SimTime, AnyBox), MpiError> {
+        let key = WaitKey::object(self);
         let declared_cost = cost;
         if member >= self.nmembers {
             return Err(MpiError::Internal(format!(
@@ -222,32 +160,21 @@ impl CollSlot {
         let mut st = self.state.lock();
 
         // Wait for the previous round to fully drain before joining a new one. The
-        // token is prepared before the condition and abort checks: slot-progress
-        // wakes happen under the slot lock we hold, and cluster-wide transition
-        // wakes (which change what `abort_check` returns) invalidate the token, so
-        // the park below can never sleep through either.
+        // token is read before the condition and abort checks: slot-progress wakes
+        // happen under the slot lock we hold, and cluster-wide transition wakes
+        // (which change what `abort_check` returns) invalidate the token, so the park
+        // below can never sleep through either.
         loop {
-            let token = match wait {
-                SlotWait::Park { prepare, .. } => Some(prepare()),
-                SlotWait::Condvar => None,
-            };
+            let token = yielder.wait_token(key);
             if !(st.phase == Phase::Delivering && st.outputs[member].is_none()) {
                 break;
             }
             if let Some(err) = abort_check() {
                 return Err(err);
             }
-            st = match wait {
-                SlotWait::Condvar => {
-                    self.cv.wait_for(&mut st, POLL_INTERVAL);
-                    st
-                }
-                SlotWait::Park { park, .. } => {
-                    drop(st);
-                    park(token.expect("token prepared above"));
-                    self.state.lock()
-                }
-            };
+            drop(st);
+            yielder.park(token, now);
+            st = self.state.lock();
         }
 
         if st.contributions[member].is_some() {
@@ -291,15 +218,11 @@ impl CollSlot {
             }
             st.finish_time = max_entry + max_cost;
             st.phase = Phase::Delivering;
-            self.cv.notify_all();
-            wait.notify();
+            yielder.wake(key);
         } else {
             // Wait for the round to complete (token-before-check, as above).
             loop {
-                let token = match wait {
-                    SlotWait::Park { prepare, .. } => Some(prepare()),
-                    SlotWait::Condvar => None,
-                };
+                let token = yielder.wait_token(key);
                 if st.phase == Phase::Delivering && st.round == my_round {
                     break;
                 }
@@ -311,17 +234,9 @@ impl CollSlot {
                     }
                     return Err(err);
                 }
-                st = match wait {
-                    SlotWait::Condvar => {
-                        self.cv.wait_for(&mut st, POLL_INTERVAL);
-                        st
-                    }
-                    SlotWait::Park { park, .. } => {
-                        drop(st);
-                        park(token.expect("token prepared above"));
-                        self.state.lock()
-                    }
-                };
+                drop(st);
+                yielder.park(token, now);
+                st = self.state.lock();
             }
         }
 
@@ -333,18 +248,9 @@ impl CollSlot {
         st.collected += 1;
         if st.collected == self.nmembers {
             st.reset_for_next_round();
-            self.cv.notify_all();
-            wait.notify();
+            yielder.wake(key);
         }
         Ok((finish_time, out))
-    }
-
-    /// Wakes every member blocked inside [`CollSlot::run`] without changing any
-    /// state. Called when a cluster-wide condition (failure, revoke, abort) changes,
-    /// so waiting members run their `abort_check` promptly instead of discovering the
-    /// condition on their next poll timeout.
-    pub fn wake_all(&self) {
-        self.cv.notify_all();
     }
 
     /// Forcibly resets the slot to an empty collecting state.
@@ -354,58 +260,68 @@ impl CollSlot {
     /// inside [`CollSlot::run`] (the recovery protocol guarantees this by first driving
     /// every rank out of its pending operations).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
-        *st = RoundState::fresh(self.nmembers);
-        self.cv.notify_all();
+        *self.state.lock() = RoundState::fresh(self.nmembers);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::runtime::{Cluster, ClusterConfig};
+    use crate::sched::SchedBackend;
+    use crate::RankCtx;
 
-    /// Runs `f(member)` on `n` threads and returns their results.
-    fn run_members<R: Send + 'static>(
+    /// Runs `f(ctx)` as every rank of an `n`-rank job on `coop` and on `par` with one
+    /// worker thread per rank, returning each backend's per-rank results.
+    fn run_members<R: Send + Clone>(
         n: usize,
-        f: impl Fn(usize) -> R + Send + Sync + 'static,
-    ) -> Vec<R> {
-        let f = Arc::new(f);
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || f(i))
+        f: impl Fn(&mut RankCtx) -> R + Send + Sync,
+    ) -> Vec<Vec<R>> {
+        [SchedBackend::Coop, SchedBackend::Par]
+            .into_iter()
+            .map(|backend| {
+                let config = ClusterConfig::with_ranks(n).backend(backend).workers(n);
+                let outcome = Cluster::new(config).run(|ctx| Ok(f(ctx)));
+                (0..n).map(|rank| outcome.value_of(rank).clone()).collect()
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+            .collect()
+    }
+
+    /// Runs `f(ctx)` as the only rank of a one-rank job.
+    fn run_single<R: Send + Clone>(f: impl Fn(&mut RankCtx) -> R + Send + Sync) -> R {
+        run_members(1, f).remove(0).remove(0)
     }
 
     #[test]
     fn single_member_round_completes_immediately() {
-        let slot = CollSlot::new(1);
-        let (t, out) = slot
-            .run(
-                0,
-                SimTime::from_secs(1.0),
-                SimTime::from_secs(0.5),
-                Box::new(41u64),
-                |mut contribs| {
-                    let (_, v) = contribs.pop().unwrap();
-                    let v = *v.downcast::<u64>().unwrap();
-                    vec![Box::new(v + 1) as AnyBox]
-                },
-                || None,
-            )
-            .unwrap();
+        let (t, out) = run_single(|ctx| {
+            let slot = CollSlot::new(1);
+            let (t, out) = slot
+                .run(
+                    0,
+                    SimTime::from_secs(1.0),
+                    SimTime::from_secs(0.5),
+                    Box::new(41u64),
+                    |mut contribs| {
+                        let (_, v) = contribs.pop().unwrap();
+                        let v = *v.downcast::<u64>().unwrap();
+                        vec![Box::new(v + 1) as AnyBox]
+                    },
+                    || None,
+                    ctx.yielder(),
+                )
+                .unwrap();
+            (t, *out.downcast::<u64>().unwrap())
+        });
         assert_eq!(t.as_secs(), 1.5);
-        assert_eq!(*out.downcast::<u64>().unwrap(), 42);
+        assert_eq!(out, 42);
     }
 
     #[test]
     fn sum_across_threads() {
-        let slot = Arc::new(CollSlot::new(4));
-        let results = run_members(4, move |i| {
-            let slot = Arc::clone(&slot);
+        let slot = CollSlot::new(4);
+        for results in run_members(4, |ctx| {
+            let i = ctx.rank();
             let (t, out) = slot
                 .run(
                     i,
@@ -420,22 +336,24 @@ mod tests {
                         (0..4).map(|_| Box::new(total) as AnyBox).collect()
                     },
                     || None,
+                    ctx.yielder(),
                 )
                 .unwrap();
             (t.as_secs(), *out.downcast::<u64>().unwrap())
-        });
-        for (t, sum) in results {
-            // max entry time is 3.0, cost 1.0.
-            assert_eq!(t, 4.0);
-            assert_eq!(sum, 6);
+        }) {
+            for (t, sum) in results {
+                // max entry time is 3.0, cost 1.0.
+                assert_eq!(t, 4.0);
+                assert_eq!(sum, 6);
+            }
         }
     }
 
     #[test]
     fn consecutive_rounds_do_not_mix() {
-        let slot = Arc::new(CollSlot::new(3));
-        let results = run_members(3, move |i| {
-            let slot = Arc::clone(&slot);
+        let slot = CollSlot::new(3);
+        for results in run_members(3, |ctx| {
+            let i = ctx.rank();
             let mut sums = Vec::new();
             for round in 0..5u64 {
                 let (_, out) = slot
@@ -452,42 +370,47 @@ mod tests {
                             (0..3).map(|_| Box::new(total) as AnyBox).collect()
                         },
                         || None,
+                        ctx.yielder(),
                     )
                     .unwrap();
                 sums.push(*out.downcast::<u64>().unwrap());
             }
             sums
-        });
-        for sums in results {
-            assert_eq!(sums, vec![3, 33, 63, 93, 123]);
+        }) {
+            for sums in results {
+                assert_eq!(sums, vec![3, 33, 63, 93, 123]);
+            }
         }
     }
 
     #[test]
     fn abort_check_unblocks_waiting_member() {
-        let slot = Arc::new(CollSlot::new(2));
-        let slot2 = Arc::clone(&slot);
-        // Member 0 enters alone and aborts after a few polls; member 1 never arrives.
-        let handle = std::thread::spawn(move || {
-            let mut polls = 0;
-            slot2.run(
+        // Member 0 enters alone and parks; member 1 never arrives but dies, and the
+        // failure publication wakes member 0, whose abort check then fires. Both
+        // backends' jobs share the slot, so the second run also proves the first
+        // left it clean.
+        let slot = CollSlot::new(2);
+        let results = run_members(2, |ctx| {
+            if ctx.rank() == 1 {
+                let _ = ctx.kill_self();
+                return None;
+            }
+            let cluster = std::sync::Arc::clone(ctx.cluster());
+            let res = slot.run(
                 0,
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(()),
                 |_| vec![Box::new(()) as AnyBox, Box::new(()) as AnyBox],
-                move || {
-                    polls += 1;
-                    if polls > 3 {
-                        Some(MpiError::ProcFailed { rank: 1 })
-                    } else {
-                        None
-                    }
-                },
-            )
+                move || (!cluster.is_alive(1)).then_some(MpiError::ProcFailed { rank: 1 }),
+                ctx.yielder(),
+            );
+            Some(res.map(|_| ()))
         });
-        let res = handle.join().unwrap();
-        assert_eq!(res.unwrap_err(), MpiError::ProcFailed { rank: 1 });
+        for per_rank in results {
+            let res = per_rank[0].clone().expect("member 0 ran the round");
+            assert_eq!(res.unwrap_err(), MpiError::ProcFailed { rank: 1 });
+        }
         // The aborting member withdrew its contribution, leaving a clean slot.
         assert!(format!("{slot:?}").contains("deposited: 0"));
         // After a reset the slot is reusable.
@@ -497,55 +420,63 @@ mod tests {
 
     #[test]
     fn wrong_output_count_is_an_internal_error() {
-        let slot = CollSlot::new(1);
-        let err = slot
-            .run(
-                0,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                Box::new(()),
-                |_| vec![],
-                || None,
-            )
-            .unwrap_err();
+        let err = run_single(|ctx| {
+            CollSlot::new(1)
+                .run(
+                    0,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                    Box::new(()),
+                    |_| vec![],
+                    || None,
+                    ctx.yielder(),
+                )
+                .map(|_| ())
+                .unwrap_err()
+        });
         assert!(matches!(err, MpiError::Internal(_)));
     }
 
     #[test]
     fn out_of_range_member_is_rejected() {
-        let slot = CollSlot::new(2);
-        let err = slot
-            .run(
-                5,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                Box::new(()),
-                |_| vec![],
-                || None,
-            )
-            .unwrap_err();
+        let err = run_single(|ctx| {
+            CollSlot::new(2)
+                .run(
+                    5,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                    Box::new(()),
+                    |_| vec![],
+                    || None,
+                    ctx.yielder(),
+                )
+                .map(|_| ())
+                .unwrap_err()
+        });
         assert!(matches!(err, MpiError::Internal(_)));
     }
 
     #[test]
     fn reset_clears_partial_round() {
-        let slot = Arc::new(CollSlot::new(2));
-        let slot2 = Arc::clone(&slot);
-        let t = std::thread::spawn(move || {
-            let mut polls = 0;
-            let _ = slot2.run(
+        // Member 0 deposits alone; member 1 revokes the world instead of arriving,
+        // which wakes member 0 into its abort check.
+        let slot = CollSlot::new(2);
+        run_members(2, |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 1 {
+                crate::ulfm::comm_revoke(ctx, &world);
+                return;
+            }
+            let _ = slot.run(
                 0,
                 SimTime::ZERO,
                 SimTime::ZERO,
                 Box::new(1u8),
                 |_| vec![Box::new(0u8) as AnyBox, Box::new(0u8) as AnyBox],
-                move || {
-                    polls += 1;
-                    (polls > 2).then_some(MpiError::Revoked)
-                },
+                || world.shared().is_revoked().then_some(MpiError::Revoked),
+                ctx.yielder(),
             );
         });
-        t.join().unwrap();
         slot.reset();
         assert!(format!("{slot:?}").contains("deposited: 0"));
     }

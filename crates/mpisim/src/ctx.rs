@@ -7,14 +7,12 @@
 
 use std::sync::Arc;
 
-use crate::collective::{AnyBox, SlotWait};
+use crate::collective::AnyBox;
 use crate::comm::{Comm, CommShared};
 use crate::datatype;
 use crate::error::MpiError;
 use crate::machine::{CollectiveKind, MachineModel, StorageTier};
 use crate::msg::{Message, Payload};
-use crate::sched::coop::CoopYielder;
-use crate::sched::par::ParYielder;
 use crate::sched::{WaitKey, WaitToken, Yielder};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
@@ -76,10 +74,10 @@ pub struct RankCtx {
     compute_interference: f64,
     io_interference: f64,
     world: Comm,
-    /// Set when this rank runs on a fiber backend (`coop` or `par`): blocked
-    /// operations park the rank's fiber instead of waiting on condition variables,
-    /// and state changes other ranks may be parked on are signalled through it.
-    yielder: Option<Yielder>,
+    /// The rank's park/wake handle into its scheduler: blocked operations park the
+    /// rank's fiber through it, and state changes other ranks may be parked on are
+    /// signalled through it.
+    yielder: Yielder,
 }
 
 impl std::fmt::Debug for RankCtx {
@@ -93,26 +91,9 @@ impl std::fmt::Debug for RankCtx {
 }
 
 impl RankCtx {
-    /// Creates the context for `rank` over the given shared cluster state (thread
-    /// backend: blocked operations wait on condition variables).
-    pub(crate) fn new(rank: usize, state: Arc<ClusterState>) -> Self {
-        Self::with_backend(rank, state, None)
-    }
-
-    /// Creates the context for `rank` on the cooperative backend: blocked operations
-    /// park the rank's fiber through `yielder` instead of blocking the host thread.
-    pub(crate) fn new_coop(rank: usize, state: Arc<ClusterState>, yielder: CoopYielder) -> Self {
-        Self::with_backend(rank, state, Some(Yielder::Coop(yielder)))
-    }
-
-    /// Creates the context for `rank` on the parallel backend: like
-    /// [`RankCtx::new_coop`], but parks are token-validated against racing wakeups
-    /// from other worker threads.
-    pub(crate) fn new_par(rank: usize, state: Arc<ClusterState>, yielder: ParYielder) -> Self {
-        Self::with_backend(rank, state, Some(Yielder::Par(yielder)))
-    }
-
-    fn with_backend(rank: usize, state: Arc<ClusterState>, yielder: Option<Yielder>) -> Self {
+    /// Creates the context for `rank` over the given shared cluster state; blocked
+    /// operations park the rank's fiber through `yielder`.
+    pub(crate) fn new(rank: usize, state: Arc<ClusterState>, yielder: Yielder) -> Self {
         let world = Comm::new(Arc::clone(&state.world), rank);
         RankCtx {
             rank,
@@ -130,39 +111,33 @@ impl RankCtx {
 
     // ----- backend plumbing ----------------------------------------------------------
 
-    /// Snapshots the wait channel `key` for a subsequent [`RankCtx::park_or_sleep`].
-    /// Must be read **before** the condition the park guards is checked: on the
-    /// parallel backend the token is what detects a wake racing the check (the park
-    /// then returns immediately); on the other backends it is inert.
+    /// Snapshots the wait channel `key` for a subsequent [`RankCtx::park`]. Must be
+    /// read **before** the condition the park guards is checked: on the parallel
+    /// backend the token is what detects a wake racing the check (the park then
+    /// returns immediately); on `coop` it is inert.
     pub(crate) fn wait_token(&self, key: WaitKey) -> WaitToken {
-        match &self.yielder {
-            Some(y) => y.wait_token(key),
-            None => WaitToken::immediate(key),
-        }
+        self.yielder.wait_token(key)
     }
 
-    /// Suspends this rank until the token's wait channel is signalled (fiber
-    /// backends) or sleeps for `fallback` host time (thread backend, where the
-    /// corresponding state change broadcasts a wakeup anyway). The caller re-checks
-    /// its condition in a loop around this, re-reading the token each pass; parks
-    /// whose token a wake has invalidated return immediately, so no wakeup can be
-    /// lost.
-    pub(crate) fn park_or_sleep(&self, token: WaitToken, fallback: std::time::Duration) {
-        match &self.yielder {
-            Some(y) => y.park(token, self.now),
-            // match-lint: allow(no-wall-clock) -- threads backend's documented host-time
-            // fallback: the 5ms nap only paces a poll loop re-checked against virtual
-            // state, so host timing never reaches any simulation result.
-            None => std::thread::sleep(fallback),
-        }
+    /// Suspends this rank until the token's wait channel is signalled. The caller
+    /// re-checks its condition in a loop around this, re-reading the token each
+    /// pass; parks whose token a wake has invalidated return immediately, so no
+    /// wakeup can be lost.
+    pub(crate) fn park(&self, token: WaitToken) {
+        self.yielder.park(token, self.now);
     }
 
-    /// Signals the wait channel `key` (no-op on the thread backend, whose waiters use
-    /// condvars or polling instead of channels).
+    /// Signals the wait channel `key`.
     pub(crate) fn wake_channel(&self, key: WaitKey) {
-        if let Some(y) = &self.yielder {
-            y.wake(key);
-        }
+        self.yielder.wake(key);
+    }
+
+    /// The rank's park/wake handle (lets unit tests drive a [`CollSlot`] directly).
+    ///
+    /// [`CollSlot`]: crate::collective::CollSlot
+    #[cfg(test)]
+    pub(crate) fn yielder(&self) -> &Yielder {
+        &self.yielder
     }
 
     // ----- introspection -------------------------------------------------------------
@@ -357,17 +332,18 @@ impl RankCtx {
 
     /// Kills a whole group of ranks at this rank's current virtual time as *one*
     /// failure event burst (used for node crashes, where every co-located process dies
-    /// at the same instant). Returns the [`MpiError::SelfFailed`] error the caller
+    /// at the same instant): the burst is published atomically, so no other rank can
+    /// observe it half-marked. Returns the [`MpiError::SelfFailed`] error the caller
     /// must propagate when it is among the victims, and [`MpiError::ProcFailed`]
     /// otherwise.
     pub fn kill_ranks(&mut self, ranks: &[usize]) -> MpiError {
-        let mut lowest: Option<usize> = None;
-        for &r in ranks {
-            if r < self.state.nprocs {
-                self.state.mark_failed_at(r, self.now);
-                lowest = Some(lowest.map_or(r, |l| l.min(r)));
-            }
-        }
+        let victims: Vec<usize> = ranks
+            .iter()
+            .copied()
+            .filter(|&r| r < self.state.nprocs)
+            .collect();
+        self.state.mark_failed_burst(&victims, self.now);
+        let lowest = victims.iter().copied().min();
         if ranks.contains(&self.rank) {
             self.stats.times_failed += 1;
             MpiError::SelfFailed
@@ -406,8 +382,7 @@ impl RankCtx {
     /// *detection barrier*: a rank that has reached the iteration of a scheduled
     /// failure event waits here until the event's victim has actually died, which
     /// guarantees the failure's virtual timestamp is published before any post-event
-    /// operation evaluates the visibility rule. On the thread backend the wait is a
-    /// host-time poll; on the cooperative backend it is a scheduler yield point —
+    /// operation evaluates the visibility rule. The wait is a scheduler yield point:
     /// the rank parks on the failure-event channel and every failure publication
     /// wakes it.
     pub fn wait_for_failure_events(&self, events: u64) {
@@ -418,7 +393,7 @@ impl RankCtx {
             if self.state.failure_events() >= events || self.state.failed_count() > 0 {
                 return;
             }
-            self.park_or_sleep(token, std::time::Duration::from_micros(100));
+            self.park(token);
         }
     }
 
@@ -555,7 +530,7 @@ impl RankCtx {
             payload,
             sent_at: self.now,
         });
-        // Cooperative backend: the destination may be parked on its mailbox channel.
+        // The destination may be parked on its mailbox channel.
         self.wake_channel(WaitKey::mailbox(dest_global));
         self.stats.sends += 1;
         Ok(())
@@ -625,10 +600,7 @@ impl RankCtx {
             // Token before *both* conditions the park guards — the health check and
             // the mailbox probe: a failure publication or a send racing either one
             // invalidates the park below instead of being lost (parallel backend).
-            let token = self
-                .yielder
-                .as_ref()
-                .map(|y| y.wait_token(WaitKey::mailbox(self.rank)));
+            let token = self.wait_token(WaitKey::mailbox(self.rank));
             if let Some(err) = self.state.health_error(comm.shared()) {
                 match err {
                     // Abort and revocation interrupt a blocked receive unconditionally.
@@ -651,28 +623,14 @@ impl RankCtx {
                     }
                 }
             }
-            matched = match &self.yielder {
-                // Thread backend: the search and the wait happen under one mailbox
-                // lock so a concurrent push can never be missed.
-                None => {
-                    mailbox.match_or_wait(comm.id(), src_global, tag_sel, self.state.poll_interval)
-                }
-                // Fiber backends: a failed match parks this rank's fiber on its
-                // mailbox channel; the next matching (or any) send to this rank — or
-                // any cluster-wide failure transition — wakes it. On `coop` the
-                // check-then-park is atomic (one OS thread); on `par` the token read
-                // above detects a racing send and turns the park into a no-op.
-                Some(y) => match mailbox.try_match(comm.id(), src_global, tag_sel) {
-                    Some(msg) => Some(msg),
-                    None => {
-                        y.park(
-                            token.expect("token read above when a yielder is set"),
-                            self.now,
-                        );
-                        None
-                    }
-                },
-            };
+            // A failed match parks this rank's fiber on its mailbox channel; the next
+            // send to this rank — or any cluster-wide failure transition — wakes it.
+            // On `coop` the check-then-park is atomic (one OS thread); on `par` the
+            // token read above detects a racing send and turns the park into a no-op.
+            matched = mailbox.try_match(comm.id(), src_global, tag_sel);
+            if matched.is_none() {
+                self.park(token);
+            }
         }
     }
 
@@ -750,33 +708,7 @@ impl RankCtx {
                     .then_some(err),
             }
         };
-        let yielder = self.yielder.clone();
-        let slot_key = WaitKey::object(&comm.shared().slot);
-        let entry_time = self.now;
-        let prepare = || match &yielder {
-            Some(y) => y.wait_token(slot_key),
-            None => WaitToken::immediate(slot_key),
-        };
-        let park = |token: WaitToken| {
-            if let Some(y) = &yielder {
-                y.park(token, entry_time);
-            }
-        };
-        let wake = || {
-            if let Some(y) = &yielder {
-                y.wake(slot_key);
-            }
-        };
-        let wait = if yielder.is_some() {
-            SlotWait::Park {
-                prepare: &prepare,
-                park: &park,
-                wake: &wake,
-            }
-        } else {
-            SlotWait::Condvar
-        };
-        let round = comm.shared().slot.run_with_wait(
+        let round = comm.shared().slot.run(
             comm.rank(),
             self.now,
             cost,
@@ -792,7 +724,7 @@ impl RankCtx {
                     .collect()
             },
             abort_check,
-            wait,
+            &self.yielder,
         );
         let (finish_time, out) = match round {
             Ok(v) => v,
@@ -1233,33 +1165,7 @@ impl RankCtx {
         self.state.set_parked(self.rank);
         let state = Arc::clone(&self.state);
         let nprocs = self.state.nprocs;
-        let yielder = self.yielder.clone();
-        let slot_key = WaitKey::object(&self.state.recovery_slot);
-        let entry_time = self.now;
-        let prepare = || match &yielder {
-            Some(y) => y.wait_token(slot_key),
-            None => WaitToken::immediate(slot_key),
-        };
-        let park = |token: WaitToken| {
-            if let Some(y) = &yielder {
-                y.park(token, entry_time);
-            }
-        };
-        let wake = || {
-            if let Some(y) = &yielder {
-                y.wake(slot_key);
-            }
-        };
-        let wait = if yielder.is_some() {
-            SlotWait::Park {
-                prepare: &prepare,
-                park: &park,
-                wake: &wake,
-            }
-        } else {
-            SlotWait::Condvar
-        };
-        let (finish_time, _out) = self.state.recovery_slot.run_with_wait(
+        let (finish_time, _out) = self.state.recovery_slot.run(
             self.rank,
             self.now,
             extra_cost,
@@ -1271,7 +1177,7 @@ impl RankCtx {
                 (0..nprocs).map(|_| Box::new(()) as AnyBox).collect()
             },
             || None,
-            wait,
+            &self.yielder,
         )?;
         self.advance_to(finish_time);
         self.stats.recoveries += 1;
@@ -1291,102 +1197,123 @@ impl RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::ClusterState;
-    use crate::topology::Topology;
+    use crate::runtime::{Cluster, ClusterConfig};
 
-    fn single_rank_ctx() -> RankCtx {
-        let state = ClusterState::new(1, Topology::single_node(1), MachineModel::default());
-        RankCtx::new(0, state)
+    /// Runs `body` as rank 0 of an `nprocs`-rank job; the other ranks return at once.
+    fn on_rank_zero(nprocs: usize, body: impl Fn(&mut RankCtx) + Send + Sync) {
+        let outcome = Cluster::new(ClusterConfig::with_ranks(nprocs)).run(|ctx| {
+            if ctx.rank() == 0 {
+                body(ctx);
+            }
+            Ok(())
+        });
+        assert!(outcome.all_ok(), "{:?}", outcome.errors());
+    }
+
+    /// Runs `body` as the only rank of a one-rank job.
+    fn single_rank(body: impl Fn(&mut RankCtx) + Send + Sync) {
+        on_rank_zero(1, body);
     }
 
     #[test]
     fn compute_advances_clock_and_breakdown() {
-        let mut ctx = single_rank_ctx();
-        ctx.compute(1e6);
-        assert!(ctx.now().as_secs() > 0.0);
-        assert_eq!(ctx.breakdown().application, ctx.now());
-        assert_eq!(ctx.breakdown().checkpoint_write, SimTime::ZERO);
+        single_rank(|ctx| {
+            ctx.compute(1e6);
+            assert!(ctx.now().as_secs() > 0.0);
+            assert_eq!(ctx.breakdown().application, ctx.now());
+            assert_eq!(ctx.breakdown().checkpoint_write, SimTime::ZERO);
+        });
     }
 
     #[test]
     fn category_switching_attributes_time() {
-        let mut ctx = single_rank_ctx();
-        ctx.compute(1e6);
-        let prev = ctx.set_category(TimeCategory::CheckpointWrite);
-        assert_eq!(prev, TimeCategory::Application);
-        ctx.charge_storage_write(StorageTier::RamDisk, 1 << 20);
-        ctx.set_category(TimeCategory::Recovery);
-        ctx.elapse(SimTime::from_secs(1.0));
-        let b = ctx.breakdown();
-        assert!(b.application.as_secs() > 0.0);
-        assert!(b.checkpoint_write.as_secs() > 0.0);
-        assert_eq!(b.recovery.as_secs(), 1.0);
-        assert_eq!(b.total(), ctx.now());
+        single_rank(|ctx| {
+            ctx.compute(1e6);
+            let prev = ctx.set_category(TimeCategory::CheckpointWrite);
+            assert_eq!(prev, TimeCategory::Application);
+            ctx.charge_storage_write(StorageTier::RamDisk, 1 << 20);
+            ctx.set_category(TimeCategory::Recovery);
+            ctx.elapse(SimTime::from_secs(1.0));
+            let b = ctx.breakdown();
+            assert!(b.application.as_secs() > 0.0);
+            assert!(b.checkpoint_write.as_secs() > 0.0);
+            assert_eq!(b.recovery.as_secs(), 1.0);
+            assert_eq!(b.total(), ctx.now());
+        });
     }
 
     #[test]
     fn interference_slows_compute() {
-        let mut a = single_rank_ctx();
-        let mut b = single_rank_ctx();
-        b.set_interference(0.5, 0.0);
-        a.compute(1e6);
-        b.compute(1e6);
-        assert!((b.now().as_secs() / a.now().as_secs() - 1.5).abs() < 1e-9);
-        assert_eq!(b.interference(), (0.5, 0.0));
+        let plain = std::sync::Mutex::new(SimTime::ZERO);
+        single_rank(|a| {
+            a.compute(1e6);
+            *plain.lock().unwrap() = a.now();
+        });
+        let plain = *plain.lock().unwrap();
+        single_rank(|b| {
+            b.set_interference(0.5, 0.0);
+            b.compute(1e6);
+            assert!((b.now().as_secs() / plain.as_secs() - 1.5).abs() < 1e-9);
+            assert_eq!(b.interference(), (0.5, 0.0));
+        });
     }
 
     #[test]
     fn self_kill_marks_failure() {
-        let mut ctx = single_rank_ctx();
-        assert!(!ctx.any_failed());
-        let err = ctx.kill_self();
-        assert_eq!(err, MpiError::SelfFailed);
-        assert!(ctx.any_failed());
-        assert_eq!(ctx.failed_ranks(), vec![0]);
-        assert_eq!(ctx.stats().times_failed, 1);
+        single_rank(|ctx| {
+            assert!(!ctx.any_failed());
+            let err = ctx.kill_self();
+            assert_eq!(err, MpiError::SelfFailed);
+            assert!(ctx.any_failed());
+            assert_eq!(ctx.failed_ranks(), vec![0]);
+            assert_eq!(ctx.stats().times_failed, 1);
+        });
     }
 
     #[test]
     fn single_rank_collectives_are_identity() {
-        let mut ctx = single_rank_ctx();
-        let world = ctx.world();
-        assert_eq!(ctx.allreduce_sum_f64(&world, 5.0).unwrap(), 5.0);
-        assert_eq!(ctx.allreduce_max_f64(&world, -1.0).unwrap(), -1.0);
-        assert_eq!(ctx.scan_sum_f64(&world, 2.0).unwrap(), 2.0);
-        ctx.barrier(&world).unwrap();
-        let g = ctx.gather_bytes(&world, 0, vec![9]).unwrap().unwrap();
-        assert_eq!(g, vec![vec![9]]);
-        let bc = ctx.bcast_f64(&world, 0, vec![1.0, 2.0]).unwrap();
-        assert_eq!(bc, vec![1.0, 2.0]);
+        single_rank(|ctx| {
+            let world = ctx.world();
+            assert_eq!(ctx.allreduce_sum_f64(&world, 5.0).unwrap(), 5.0);
+            assert_eq!(ctx.allreduce_max_f64(&world, -1.0).unwrap(), -1.0);
+            assert_eq!(ctx.scan_sum_f64(&world, 2.0).unwrap(), 2.0);
+            ctx.barrier(&world).unwrap();
+            let g = ctx.gather_bytes(&world, 0, vec![9]).unwrap().unwrap();
+            assert_eq!(g, vec![vec![9]]);
+            let bc = ctx.bcast_f64(&world, 0, vec![1.0, 2.0]).unwrap();
+            assert_eq!(bc, vec![1.0, 2.0]);
+        });
     }
 
     #[test]
     fn invalid_ranks_are_rejected() {
-        let mut ctx = single_rank_ctx();
-        let world = ctx.world();
-        assert!(matches!(
-            ctx.send_bytes(&world, 3, 0, &[1]),
-            Err(MpiError::InvalidRank { .. })
-        ));
-        assert!(matches!(
-            ctx.reduce_f64(&world, 9, ReduceOp::Sum, &[1.0]),
-            Err(MpiError::InvalidRank { .. })
-        ));
-        assert!(matches!(
-            ctx.alltoall_bytes(&world, vec![]),
-            Err(MpiError::InvalidArgument(_))
-        ));
+        single_rank(|ctx| {
+            let world = ctx.world();
+            assert!(matches!(
+                ctx.send_bytes(&world, 3, 0, &[1]),
+                Err(MpiError::InvalidRank { .. })
+            ));
+            assert!(matches!(
+                ctx.reduce_f64(&world, 9, ReduceOp::Sum, &[1.0]),
+                Err(MpiError::InvalidRank { .. })
+            ));
+            assert!(matches!(
+                ctx.alltoall_bytes(&world, vec![]),
+                Err(MpiError::InvalidArgument(_))
+            ));
+        });
     }
 
     #[test]
     fn operations_after_failure_report_proc_failed() {
-        let mut ctx = single_rank_ctx();
-        ctx.fail_rank(0);
-        let world = ctx.world();
-        assert!(matches!(
-            ctx.allreduce_sum_f64(&world, 1.0),
-            Err(MpiError::ProcFailed { .. })
-        ));
+        single_rank(|ctx| {
+            ctx.fail_rank(0);
+            let world = ctx.world();
+            assert!(matches!(
+                ctx.allreduce_sum_f64(&world, 1.0),
+                Err(MpiError::ProcFailed { .. })
+            ));
+        });
     }
 
     #[test]
@@ -1394,43 +1321,45 @@ mod tests {
         // Two ranks: rank 1 "fails" while rank 0 only ever talks to itself through a
         // self-communicator. Without the global-restart declaration that communicator
         // keeps working; with it, the operation reports the failure.
-        let state = ClusterState::new(2, Topology::single_node(2), MachineModel::default());
-        let mut ctx = RankCtx::new(0, state);
-        let world = ctx.world();
-        ctx.fail_rank(1);
-        // A communicator containing only rank 0 (build it directly to avoid needing
-        // rank 1 for the collective creation path).
-        let self_shared = crate::comm::CommShared::new(99, vec![0]);
-        let self_comm = Comm::new(self_shared, 0);
-        assert_eq!(ctx.allreduce_sum_f64(&self_comm, 2.0).unwrap(), 2.0);
-        assert!(ctx.health_error(&world).is_some());
-        ctx.declare_global_restart();
-        assert!(matches!(
-            ctx.allreduce_sum_f64(&self_comm, 2.0),
-            Err(MpiError::ProcFailed { .. })
-        ));
+        on_rank_zero(2, |ctx| {
+            let world = ctx.world();
+            ctx.fail_rank(1);
+            // A communicator containing only rank 0 (build it directly to avoid
+            // needing rank 1 for the collective creation path).
+            let self_shared = crate::comm::CommShared::new(99, vec![0]);
+            let self_comm = Comm::new(self_shared, 0);
+            assert_eq!(ctx.allreduce_sum_f64(&self_comm, 2.0).unwrap(), 2.0);
+            assert!(ctx.health_error(&world).is_some());
+            ctx.declare_global_restart();
+            assert!(matches!(
+                ctx.allreduce_sum_f64(&self_comm, 2.0),
+                Err(MpiError::ProcFailed { .. })
+            ));
+        });
     }
 
     #[test]
     fn abort_poisons_operations() {
-        let mut ctx = single_rank_ctx();
-        let world = ctx.world();
-        let _ = ctx.abort(3);
-        assert_eq!(
-            ctx.barrier(&world).unwrap_err(),
-            MpiError::Aborted { code: 3 }
-        );
+        single_rank(|ctx| {
+            let world = ctx.world();
+            let _ = ctx.abort(3);
+            assert_eq!(
+                ctx.barrier(&world).unwrap_err(),
+                MpiError::Aborted { code: 3 }
+            );
+        });
     }
 
     #[test]
     fn recovery_rendezvous_repairs_single_rank() {
-        let mut ctx = single_rank_ctx();
-        let _ = ctx.kill_self();
-        ctx.set_category(TimeCategory::Recovery);
-        ctx.recovery_rendezvous(SimTime::from_secs(2.0)).unwrap();
-        assert!(!ctx.any_failed());
-        assert_eq!(ctx.breakdown().recovery.as_secs(), 2.0);
-        assert_eq!(ctx.stats().recoveries, 1);
+        single_rank(|ctx| {
+            let _ = ctx.kill_self();
+            ctx.set_category(TimeCategory::Recovery);
+            ctx.recovery_rendezvous(SimTime::from_secs(2.0)).unwrap();
+            assert!(!ctx.any_failed());
+            assert_eq!(ctx.breakdown().recovery.as_secs(), 2.0);
+            assert_eq!(ctx.stats().recoveries, 1);
+        });
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! role that a real cluster plus an MPI runtime (Open MPI with the ULFM and Reinit
 //! fault-tolerance extensions) plays in the original MATCH paper.
 //!
-//! The central idea is **virtual time, real data**: every MPI rank runs as an operating
-//! system thread executing the *real* distributed algorithm on real buffers, but the
+//! The central idea is **virtual time, real data**: every MPI rank runs as a stackful
+//! fiber executing the *real* distributed algorithm on real buffers, but the
 //! time reported for an experiment is not wall-clock time. Instead each rank carries a
 //! virtual clock ([`SimTime`]) that is advanced by an explicit, calibrated machine model
 //! ([`MachineModel`]): point-to-point messages pay an α–β (latency + bytes/bandwidth)
@@ -51,6 +51,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+// Every rank runs on a stackful fiber, whose context switch and stack mapping exist
+// only for these targets (see `sched::fiber`).
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("mpisim supports only Linux on x86-64 or AArch64 (its rank fibers need them)");
+
 pub mod collective;
 pub mod comm;
 pub mod ctx;
@@ -77,8 +85,8 @@ pub use machine::{LinkDomain, MachineModel};
 pub use msg::Payload;
 pub use runtime::{Cluster, ClusterConfig, RankOutcome, RunOutcome};
 pub use sched::{
-    set_default_par_workers, RankScheduler, SchedBackend, BACKEND_ENV_VAR, COOP_SUPPORTED,
-    HORIZON_ENV_VAR, WORKERS_ENV_VAR,
+    set_default_par_workers, RankScheduler, SchedBackend, BACKEND_ENV_VAR, HORIZON_ENV_VAR,
+    WORKERS_ENV_VAR,
 };
 pub use stats::{RankStats, TimeBreakdown};
 pub use time::SimTime;

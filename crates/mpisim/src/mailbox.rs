@@ -3,9 +3,9 @@
 //! Each rank owns one [`Mailbox`]. Senders push messages into the destination rank's
 //! mailbox; the receiver scans its mailbox for the first message matching the
 //! `(communicator, source, tag)` selector. Blocking receives are implemented by the
-//! caller as a poll loop (`try_match` + `wait`), so that failure conditions can be
-//! checked between polls — this is how the simulator delivers ULFM-style failure
-//! notifications to ranks blocked in communication.
+//! caller as a loop of `try_match` and a park on the rank's mailbox wait channel, so
+//! that failure conditions are re-checked on every wakeup — this is how the simulator
+//! delivers ULFM-style failure notifications to ranks blocked in communication.
 //!
 //! Matching from the middle of the queue used to shift every later message down
 //! (`VecDeque::remove` is O(n)); the queue now uses *tombstones* instead: a matched
@@ -16,9 +16,8 @@
 //! triple.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::msg::Message;
 
@@ -37,7 +36,6 @@ struct Slots {
 #[derive(Debug, Default)]
 pub struct Mailbox {
     slots: Mutex<Slots>,
-    cv: Condvar,
 }
 
 impl Mailbox {
@@ -46,49 +44,19 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// Delivers a message into the mailbox and wakes any waiting receiver.
+    /// Delivers a message into the mailbox (the sender wakes the receiver's wait
+    /// channel afterwards).
     pub fn push(&self, msg: Message) {
         let mut s = self.slots.lock();
         s.queue.push_back(Some(msg));
         s.live += 1;
-        self.cv.notify_all();
     }
 
     /// Removes and returns the first message matching the selector, preserving the
     /// order of the remaining messages (MPI's non-overtaking rule for a given
     /// `(source, tag, communicator)` triple).
     pub fn try_match(&self, comm_id: u64, src: Option<usize>, tag: Option<i32>) -> Option<Message> {
-        Self::take_match(&mut self.slots.lock(), comm_id, src, tag)
-    }
-
-    /// Like [`Mailbox::try_match`], but when no queued message matches, atomically
-    /// blocks (for at most `timeout`) until a new message is pushed or the mailbox is
-    /// woken, then scans once more. The search and the wait happen under one lock, so
-    /// a message pushed between them can never be missed — and, unlike a naive
-    /// "wait while empty", a receiver is *not* woken over and over by queued messages
-    /// that do not match its selector (that busy-spin used to dominate the host CPU
-    /// whenever ranks held out-of-selector traffic, e.g. in halo exchanges).
-    pub fn match_or_wait(
-        &self,
-        comm_id: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-        timeout: Duration,
-    ) -> Option<Message> {
         let mut s = self.slots.lock();
-        if let Some(msg) = Self::take_match(&mut s, comm_id, src, tag) {
-            return Some(msg);
-        }
-        self.cv.wait_for(&mut s, timeout);
-        Self::take_match(&mut s, comm_id, src, tag)
-    }
-
-    fn take_match(
-        s: &mut parking_lot::MutexGuard<'_, Slots>,
-        comm_id: u64,
-        src: Option<usize>,
-        tag: Option<i32>,
-    ) -> Option<Message> {
         let pos = s
             .queue
             .iter()
@@ -106,15 +74,6 @@ impl Mailbox {
         msg
     }
 
-    /// Blocks for at most `timeout` waiting for a new message to arrive. Returns
-    /// immediately if the mailbox is non-empty; spurious wake-ups are allowed.
-    pub fn wait(&self, timeout: Duration) {
-        let mut s = self.slots.lock();
-        if s.live == 0 {
-            self.cv.wait_for(&mut s, timeout);
-        }
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.slots.lock().live
@@ -125,21 +84,12 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// Wakes every thread blocked in [`Mailbox::wait`] without delivering anything.
-    /// Called when a cluster-wide condition (failure, revoke, abort) changes, so
-    /// blocked receivers re-check their health promptly instead of discovering the
-    /// condition on their next poll timeout.
-    pub fn wake_all(&self) {
-        self.cv.notify_all();
-    }
-
     /// Discards every queued message (used when a communicator is repaired after a
     /// failure: pending communication is dropped, matching ULFM revoke semantics).
     pub fn clear(&self) {
         let mut s = self.slots.lock();
         s.queue.clear();
         s.live = 0;
-        self.cv.notify_all();
     }
 }
 
@@ -264,13 +214,6 @@ mod tests {
         mb.push(msg(2, 2, 0));
         mb.clear();
         assert!(mb.is_empty());
-    }
-
-    #[test]
-    fn wait_returns_after_timeout() {
-        let mb = Mailbox::new();
-        // Must not block forever on an empty mailbox.
-        mb.wait(Duration::from_millis(1));
     }
 
     #[test]

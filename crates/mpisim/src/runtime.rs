@@ -1,10 +1,10 @@
-//! The cluster runtime: executes jobs on a scheduler backend (thread-per-rank or
-//! cooperative fibers) and collects the results.
+//! The cluster runtime: executes jobs on a scheduler backend (`coop` or `par`) and
+//! collects the results.
 
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
 use crate::machine::MachineModel;
-use crate::sched::{CoopScheduler, ParScheduler, RankScheduler, SchedBackend, ThreadScheduler};
+use crate::sched::{CoopScheduler, ParScheduler, RankScheduler, SchedBackend};
 use crate::state::ClusterState;
 use crate::stats::{RankStats, TimeBreakdown};
 use crate::time::SimTime;
@@ -25,19 +25,18 @@ pub struct ClusterConfig {
     pub nracks: Option<usize>,
     /// The machine model; defaults to [`MachineModel::haswell_cluster`].
     pub machine: MachineModel,
-    /// Stack size for rank threads (and cooperative fiber stacks) in bytes: the proxy
-    /// applications keep their data on the heap, so a modest stack suffices even for
-    /// 512-rank jobs.
+    /// Stack size of each rank's fiber in bytes: the proxy applications keep their
+    /// data on the heap, so a modest stack suffices even for 512-rank jobs.
     pub stack_size: usize,
     /// The scheduler backend rank programs run on. Defaults to the `MATCH_BACKEND`
-    /// environment variable, then to [`SchedBackend::Threads`]. Results are
+    /// environment variable, then to [`SchedBackend::Coop`]. Results are
     /// bit-identical across backends by the [`RankScheduler`] contract — only
     /// host-side scaling differs — which is why the experiment cache key does *not*
     /// include it.
     pub backend: SchedBackend,
     /// Worker-thread count of the `par` backend; 0 (the default) resolves through
     /// `MATCH_WORKERS`, then the suite engine's published core budget, then the
-    /// host's available parallelism. Ignored by the other backends. Like the backend
+    /// host's available parallelism. Ignored by `coop`. Like the backend
     /// itself, the count has no observable effect on results.
     pub workers: usize,
 }
@@ -69,7 +68,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the per-rank stack size in bytes (thread stacks or fiber stacks).
+    /// Sets the per-rank fiber stack size in bytes.
     pub fn stack_size(mut self, stack_size: usize) -> Self {
         self.stack_size = stack_size;
         self
@@ -206,10 +205,10 @@ impl<R> RunOutcome<R> {
 /// A simulated cluster ready to run jobs.
 ///
 /// Each call to [`Cluster::run`] executes one job on the configured scheduler
-/// backend — one OS thread per rank ([`SchedBackend::Threads`]) or all ranks as
-/// cooperative fibers in one OS thread ([`SchedBackend::Coop`]) — hands each rank a
-/// fresh [`RankCtx`] over a fresh shared state, runs the provided closure and
-/// collects every rank's result, virtual time, breakdown and statistics.
+/// backend — all ranks as fibers over one OS thread ([`SchedBackend::Coop`]) or over
+/// a pool of worker threads ([`SchedBackend::Par`]) — hands each rank a fresh
+/// [`RankCtx`] over a fresh shared state, runs the provided closure and collects
+/// every rank's result, virtual time, breakdown and statistics.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
@@ -244,10 +243,9 @@ impl Cluster {
     ///
     /// The closure receives the rank's [`RankCtx`] and returns either a result value or
     /// an [`MpiError`]. Errors do not abort the other ranks; they are reported in the
-    /// [`RunOutcome`]. On the cooperative backend the closure must block only through
-    /// simulated operations (receives, collectives, rendezvous, the injector's
-    /// detection barrier) — a raw host-time spin loop would never yield the job's
-    /// single OS thread.
+    /// [`RunOutcome`]. The closure must block only through simulated operations
+    /// (receives, collectives, rendezvous, the injector's detection barrier) — a raw
+    /// host-time spin loop would never yield its fiber's OS thread.
     pub fn run<R, F>(&self, body: F) -> RunOutcome<R>
     where
         R: Send,
@@ -256,7 +254,6 @@ impl Cluster {
         let topology = self.config.topology();
         let state = ClusterState::new(self.config.nprocs, topology, self.config.machine.clone());
         let ranks = match self.config.backend {
-            SchedBackend::Threads => ThreadScheduler.run_job(&self.config, state, &body),
             SchedBackend::Coop => CoopScheduler.run_job(&self.config, state, &body),
             SchedBackend::Par => ParScheduler.run_job(&self.config, state, &body),
         };
@@ -491,6 +488,13 @@ mod tests {
         Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Coop))
     }
 
+    /// `par` with one worker per rank: `owner(rank) = rank`, so every rank runs on
+    /// its own OS thread and each blocked operation parks across threads. The
+    /// thread-per-rank reference the single-threaded schedules are checked against.
+    fn thread_per_rank_cluster(nprocs: usize) -> Cluster {
+        par_cluster(nprocs, nprocs)
+    }
+
     #[test]
     fn coop_collectives_and_p2p_match_threads() {
         let program = |ctx: &mut RankCtx| {
@@ -509,7 +513,7 @@ mod tests {
             ctx.barrier(&world)?;
             Ok((sum, ctx.now()))
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let threads = thread_per_rank_cluster(8).run(program);
         let coop = coop_cluster(8).run(program);
         assert!(threads.all_ok() && coop.all_ok(), "{:?}", coop.errors());
         for rank in 0..8 {
@@ -536,13 +540,14 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(4)).run(program);
         let coop = coop_cluster(4).run(program);
+        let failure_instant = coop.ranks()[3].finish_time;
+        assert!(failure_instant > SimTime::ZERO);
         for rank in [0usize, 1, 2] {
             assert_eq!(
-                threads.value_of(rank),
-                coop.value_of(rank),
-                "abort clocks must be the deterministic failure instant on both backends"
+                *coop.value_of(rank),
+                failure_instant,
+                "abort clocks must be the deterministic failure instant"
             );
         }
     }
@@ -588,12 +593,7 @@ mod tests {
     #[test]
     fn coop_runs_in_a_single_thread_per_job() {
         // The defining property of the backend: rank bodies all execute on the OS
-        // thread that called `run`, no matter how many ranks the job has. Without
-        // fiber support the coop backend degrades to threads, where neither this
-        // property nor the deadlock diagnosis below holds.
-        if !crate::sched::COOP_SUPPORTED {
-            return;
-        }
+        // thread that called `run`, no matter how many ranks the job has.
         let caller = std::thread::current().id();
         let outcome = coop_cluster(32).run(move |ctx| {
             assert_eq!(
@@ -610,13 +610,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cooperative scheduler deadlock")]
     fn coop_deadlock_is_diagnosed_not_hung() {
-        // A receive nothing will ever send to: the thread backend would hang forever;
-        // the cooperative scheduler panics with a per-rank diagnosis. On targets
-        // without fiber support the coop backend degrades to threads (which would
-        // hang here), so satisfy the expected panic directly instead.
-        if !crate::sched::COOP_SUPPORTED {
-            panic!("cooperative scheduler deadlock diagnosis needs fiber support");
-        }
+        // A receive nothing will ever send to: the cooperative scheduler panics with
+        // a per-rank diagnosis instead of hanging.
         let _ = coop_cluster(2).run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 0 {
@@ -638,7 +633,7 @@ mod tests {
             }
             Ok(())
         };
-        let a = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let a = thread_per_rank_cluster(8).run(program);
         let b = coop_cluster(8).run(program);
         assert_eq!(a.max_time(), b.max_time());
     }
@@ -671,7 +666,7 @@ mod tests {
             ctx.barrier(&world)?;
             Ok((sum, ctx.now()))
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let threads = thread_per_rank_cluster(8).run(program);
         // Worker counts beyond nprocs are clamped; 1 degenerates to coop's schedule.
         for workers in [1usize, 2, 3, 8, 16] {
             let par = par_cluster(8, workers).run(program);
@@ -701,12 +696,12 @@ mod tests {
                 other => Err(MpiError::Internal(format!("unexpected: {other:?}"))),
             }
         };
-        let threads = Cluster::new(ClusterConfig::with_ranks(4)).run(program);
+        let coop = coop_cluster(4).run(program);
         for workers in [2usize, 4] {
             let par = par_cluster(4, workers).run(program);
             for rank in [0usize, 1, 2] {
                 assert_eq!(
-                    threads.value_of(rank),
+                    coop.value_of(rank),
                     par.value_of(rank),
                     "abort clocks must be the deterministic failure instant on both backends"
                 );
@@ -758,12 +753,7 @@ mod tests {
     fn par_deadlock_is_diagnosed_not_hung() {
         // Two ranks on two workers, each receiving a message the other will never
         // send: every worker goes quiet with unfinished ranks parked, the census
-        // fires, and the job panics with a per-rank diagnosis instead of hanging. On
-        // targets without fiber support the par backend degrades to threads (which
-        // would hang here), so satisfy the expected panic directly instead.
-        if !crate::sched::COOP_SUPPORTED {
-            panic!("parallel scheduler deadlock diagnosis needs fiber support");
-        }
+        // fires, and the job panics with a per-rank diagnosis instead of hanging.
         let _ = par_cluster(2, 2).run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 0 {
@@ -785,7 +775,7 @@ mod tests {
             }
             Ok(())
         };
-        let a = Cluster::new(ClusterConfig::with_ranks(8)).run(program);
+        let a = thread_per_rank_cluster(8).run(program);
         let b = par_cluster(8, 4).run(program);
         assert_eq!(a.max_time(), b.max_time());
     }

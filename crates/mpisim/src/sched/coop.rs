@@ -22,13 +22,11 @@
 //!
 //! Because everything runs on one thread, the check-then-park sequence is atomic by
 //! construction: no condition can change between a task observing "not ready" and its
-//! fiber being parked, so there are no lost wakeups, no timeouts and no polling —
-//! the fallback heartbeats of the thread backend simply do not exist here.
+//! fiber being parked, so there are no lost wakeups, no timeouts and no polling.
 //!
 //! If the run queue empties while unfinished tasks remain parked (an application
 //! deadlock — e.g. a receive nothing will ever send to), the scheduler panics with a
-//! per-rank diagnosis instead of hanging, which is strictly more debuggable than the
-//! thread backend's behaviour for the same bug.
+//! per-rank diagnosis instead of hanging.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -41,7 +39,7 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::{JobWaker, RankScheduler, WaitKey};
+use super::{JobWaker, RankScheduler, WaitKey, Yielder};
 
 /// Status of one cooperatively scheduled rank task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,18 +126,9 @@ impl CoopShared {
         }
         // SAFETY: single-thread switch discipline (see CoopShared's Sync rationale);
         // the scheduler context was saved when this fiber was resumed.
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
         unsafe {
             super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx());
         }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        unreachable!("cooperative tasks cannot exist without fiber support");
     }
 
     /// Makes every rank parked on `key` runnable.
@@ -165,18 +154,9 @@ impl CoopShared {
         loop {
             // SAFETY: as in `park`; the scheduler never resumes a Done task, so the
             // loop body runs exactly once.
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
             unsafe {
                 super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx());
             }
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            unreachable!("cooperative tasks cannot exist without fiber support");
         }
     }
 }
@@ -224,45 +204,11 @@ impl CoopYielder {
     }
 }
 
-/// The cooperative scheduler backend (see the module docs). On targets without fiber
-/// support it transparently degrades to [`ThreadScheduler`](super::ThreadScheduler) — results are identical
-/// by the [`RankScheduler`] contract, only the scaling differs.
+/// The cooperative scheduler backend (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoopScheduler;
 
-impl RankScheduler for CoopScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> Vec<RankOutcome<R>>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            run_fibers(config, state, body)
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            super::ThreadScheduler.run_job(config, state, body)
-        }
-    }
-}
-
 /// Everything one fiber needs, at a stable address for the fiber's whole lifetime.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 struct RankJob<R, F> {
     rank: usize,
     state: Arc<ClusterState>,
@@ -272,10 +218,6 @@ struct RankJob<R, F> {
     panic_slot: *mut Option<Box<dyn std::any::Any + Send>>,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 extern "C" fn fiber_main<R, F>(arg: *mut ()) -> !
 where
     R: Send,
@@ -289,9 +231,9 @@ where
             shared: Arc::clone(&job.shared),
             rank,
         };
-        let mut ctx = RankCtx::new_coop(rank, Arc::clone(&job.state), yielder);
+        let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), Yielder::Coop(yielder));
         // SAFETY: `body` outlives the scheduler loop (it is a reference held by the
-        // caller of run_fibers); fibers never outlive that call.
+        // caller of run_job); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };
         RankOutcome {
             rank,
@@ -302,7 +244,7 @@ where
         }
     }));
     match outcome {
-        // SAFETY: `out` points into a vector owned by run_fibers, which only reads
+        // SAFETY: `out` points into a vector owned by run_job, which only reads
         // it after this fiber is Done; slot `rank` is written by this fiber alone.
         Ok(o) => unsafe { *job.out = Some(o) },
         // SAFETY: as for `out` — `panic_slot` is this rank's private slot in a
@@ -312,122 +254,121 @@ where
     job.shared.finish(rank)
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn run_fibers<R, F>(
-    config: &ClusterConfig,
-    state: Arc<ClusterState>,
-    body: &F,
-) -> Vec<RankOutcome<R>>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-{
-    use super::fiber::{switch_context, Fiber};
+impl RankScheduler for CoopScheduler {
+    fn run_job<R, F>(
+        &self,
+        config: &ClusterConfig,
+        state: Arc<ClusterState>,
+        body: &F,
+    ) -> Vec<RankOutcome<R>>
+    where
+        R: Send,
+        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
+    {
+        use super::fiber::{switch_context, Fiber};
 
-    let nprocs = state.nprocs;
-    let shared = Arc::new(CoopShared::new(nprocs));
-    state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
+        let nprocs = state.nprocs;
+        let shared = Arc::new(CoopShared::new(nprocs));
+        state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
 
-    let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
-    let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> =
-        (0..nprocs).map(|_| None).collect();
+        let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
+        let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> =
+            (0..nprocs).map(|_| None).collect();
 
-    let jobs: Vec<RankJob<R, F>> = (0..nprocs)
-        .map(|rank| RankJob {
-            rank,
-            state: Arc::clone(&state),
-            shared: Arc::clone(&shared),
-            body: body as *const F,
-            // SAFETY: in-bounds (`rank < nprocs`, the vector's length); the vector
-            // is never resized while fibers live.
-            out: unsafe { outcomes.as_mut_ptr().add(rank) },
-            // SAFETY: same in-bounds offset into the equally sized panics vector.
-            panic_slot: unsafe { panics.as_mut_ptr().add(rank) },
-        })
-        .collect();
+        let jobs: Vec<RankJob<R, F>> = (0..nprocs)
+            .map(|rank| RankJob {
+                rank,
+                state: Arc::clone(&state),
+                shared: Arc::clone(&shared),
+                body: body as *const F,
+                // SAFETY: in-bounds (`rank < nprocs`, the vector's length); the vector
+                // is never resized while fibers live.
+                out: unsafe { outcomes.as_mut_ptr().add(rank) },
+                // SAFETY: same in-bounds offset into the equally sized panics vector.
+                panic_slot: unsafe { panics.as_mut_ptr().add(rank) },
+            })
+            .collect();
 
-    let mut fibers: Vec<Fiber> = jobs
-        .iter()
-        .map(|job| {
-            Fiber::new(
-                config.stack_size,
-                fiber_main::<R, F>,
-                job as *const RankJob<R, F> as *mut (),
-            )
-        })
-        .collect();
-    for (rank, fiber) in fibers.iter_mut().enumerate() {
-        // SAFETY: installing each fiber's initial context into its switch slot;
-        // nothing runs yet.
-        unsafe { *shared.task_ctx(rank) = *fiber.context_slot() };
-    }
+        let mut fibers: Vec<Fiber> = jobs
+            .iter()
+            .map(|job| {
+                Fiber::new(
+                    config.stack_size,
+                    fiber_main::<R, F>,
+                    job as *const RankJob<R, F> as *mut (),
+                )
+            })
+            .collect();
+        for (rank, fiber) in fibers.iter_mut().enumerate() {
+            // SAFETY: installing each fiber's initial context into its switch slot;
+            // nothing runs yet.
+            unsafe { *shared.task_ctx(rank) = *fiber.context_slot() };
+        }
 
-    // The scheduler loop: always resume the runnable rank with the lowest virtual
-    // clock. Each switch returns here when that rank parks or finishes.
-    loop {
-        let next = {
-            let mut q = shared.inner.lock();
-            match q.runnable.pop() {
-                Some(std::cmp::Reverse((_, rank))) => {
-                    q.status[rank] = Status::Running;
-                    Some(rank)
+        // The scheduler loop: always resume the runnable rank with the lowest virtual
+        // clock. Each switch returns here when that rank parks or finishes.
+        loop {
+            let next = {
+                let mut q = shared.inner.lock();
+                match q.runnable.pop() {
+                    Some(std::cmp::Reverse((_, rank))) => {
+                        q.status[rank] = Status::Running;
+                        Some(rank)
+                    }
+                    None => None,
                 }
-                None => None,
-            }
-        };
-        match next {
-            Some(rank) => {
-                // SAFETY: `rank` is suspended (fresh or parked-then-woken) and its
-                // stack is alive; we run on the job's only thread.
-                unsafe { switch_context(shared.sched_ctx(), *shared.task_ctx(rank)) };
-            }
-            None => {
-                let q = shared.inner.lock();
-                if q.finished == nprocs {
-                    break;
+            };
+            match next {
+                Some(rank) => {
+                    // SAFETY: `rank` is suspended (fresh or parked-then-woken) and its
+                    // stack is alive; we run on the job's only thread.
+                    unsafe { switch_context(shared.sched_ctx(), *shared.task_ctx(rank)) };
                 }
-                let any_panic = panics.iter().any(Option::is_some);
-                if any_panic {
-                    // A rank died by panic; its peers may be parked on it forever.
-                    // Abandon the job and propagate the panic below.
-                    break;
+                None => {
+                    let q = shared.inner.lock();
+                    if q.finished == nprocs {
+                        break;
+                    }
+                    let any_panic = panics.iter().any(Option::is_some);
+                    if any_panic {
+                        // A rank died by panic; its peers may be parked on it forever.
+                        // Abandon the job and propagate the panic below.
+                        break;
+                    }
+                    let stuck: Vec<String> = q
+                        .status
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(r, s)| match s {
+                            Status::Parked(key) => Some(format!("rank {r} on {key:?}")),
+                            _ => None,
+                        })
+                        .collect();
+                    drop(q);
+                    state.clear_job_waker();
+                    panic!(
+                        "cooperative scheduler deadlock: no runnable rank and {} unfinished \
+                         task(s) parked [{}] — a cooperative rank program must only block \
+                         through simulated operations",
+                        stuck.len(),
+                        stuck.join(", ")
+                    );
                 }
-                let stuck: Vec<String> = q
-                    .status
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, s)| match s {
-                        Status::Parked(key) => Some(format!("rank {r} on {key:?}")),
-                        _ => None,
-                    })
-                    .collect();
-                drop(q);
-                state.clear_job_waker();
-                panic!(
-                    "cooperative scheduler deadlock: no runnable rank and {} unfinished \
-                     task(s) parked [{}] — a cooperative rank program must only block \
-                     through simulated operations",
-                    stuck.len(),
-                    stuck.join(", ")
-                );
             }
         }
-    }
 
-    state.clear_job_waker();
-    if let Some(p) = panics.iter_mut().find_map(Option::take) {
-        // Mirror the thread backend's join-propagation. Unfinished fibers are
-        // abandoned: their stacks are unmapped without unwinding, which can leak
-        // heap objects held by suspended frames — acceptable for a dying job.
+        state.clear_job_waker();
+        if let Some(p) = panics.iter_mut().find_map(Option::take) {
+            // Mirror `JoinHandle::join`'s panic propagation. Unfinished fibers are
+            // abandoned: their stacks are unmapped without unwinding, which can leak
+            // heap objects held by suspended frames — acceptable for a dying job.
+            drop(fibers);
+            std::panic::resume_unwind(p);
+        }
         drop(fibers);
-        std::panic::resume_unwind(p);
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("missing rank outcome"))
+            .collect()
     }
-    drop(fibers);
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("missing rank outcome"))
-        .collect()
 }

@@ -9,30 +9,23 @@
 //! [`RunOutcome`](crate::RunOutcome)s. That property is the contract of the
 //! [`RankScheduler`] trait, and the backend-equivalence test suite enforces it.
 //!
-//! Three backends implement the trait:
+//! Every rank runs as a stackful [`fiber`] and blocks by *parking* that fiber on a
+//! wait channel until the event it needs (message arrival, round completion, failure
+//! publication) wakes it. Two backends implement the trait:
 //!
-//! * [`ThreadScheduler`] (**`threads`**) — one OS thread per rank, true host
-//!   parallelism, blocking implemented with condition variables plus explicit
-//!   failure-transition wakeups. Best for small-to-medium jobs (≤ ~1k ranks) on
-//!   multi-core hosts, where ranks genuinely compute concurrently.
-//! * [`CoopScheduler`] (**`coop`**) — all ranks of a job multiplexed as stackful
-//!   fibers over **one** OS thread, driven by a virtual-time run queue: the scheduler
-//!   always resumes the runnable rank with the lowest virtual clock, and a blocked
-//!   receive/collective/rendezvous parks its fiber on a wait channel until the event
-//!   it needs (message arrival, round completion, failure publication) wakes it. No
-//!   mailbox polling, no condition variables and no fallback heartbeats exist on this
-//!   path, which removes the per-rank host-thread cost entirely and lifts the
-//!   practical rank ceiling from hundreds to tens of thousands.
+//! * [`CoopScheduler`] (**`coop`**, the default) — all ranks of a job multiplexed
+//!   over **one** OS thread, driven by a virtual-time run queue: the scheduler always
+//!   resumes the runnable rank with the lowest virtual clock. No per-rank host thread
+//!   exists, which lifts the practical rank ceiling to tens of thousands.
 //! * [`ParScheduler`] (**`par`**) — the multi-core variant of `coop`: the virtual-time
 //!   run queue is sharded over `MATCH_WORKERS` worker threads with deterministic
 //!   contiguous rank-block ownership, each worker driving its own `(clock, rank)`
 //!   min-heap of pinned fibers, with token-validated park/wake channels at every
-//!   communication edge and published per-worker virtual-time watermarks. Best for
-//!   paper-scale jobs (≥ ~2k ranks) on multi-core hosts.
+//!   communication edge and published per-worker virtual-time watermarks.
 //!
 //! The backend is selected per job through
 //! [`ClusterConfig::backend`](crate::ClusterConfig) (defaulting to the
-//! `MATCH_BACKEND` environment variable, then to `threads`).
+//! `MATCH_BACKEND` environment variable, then to `coop`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,26 +37,13 @@ use crate::state::ClusterState;
 use crate::time::SimTime;
 
 pub(crate) mod coop;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub(crate) mod fiber;
 pub(crate) mod par;
 
 pub use coop::CoopScheduler;
 pub use par::ParScheduler;
 
-/// Whether the cooperative backend's fiber runtime is available on this target
-/// (Linux on x86-64 or AArch64). Elsewhere [`CoopScheduler`] degrades to the thread
-/// backend — results are bit-identical either way, only the scaling differs.
-pub const COOP_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// Environment variable selecting the default scheduler backend (`threads`, `coop` or
-/// `par`).
+/// Environment variable selecting the default scheduler backend (`coop` or `par`).
 pub const BACKEND_ENV_VAR: &str = "MATCH_BACKEND";
 
 /// Environment variable selecting the default worker-thread count of the `par`
@@ -118,10 +98,9 @@ pub(crate) fn resolve_workers(explicit: usize) -> usize {
 /// Which scheduler backend a job runs on (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedBackend {
-    /// One OS thread per simulated rank (the default).
+    /// All ranks as cooperative fibers over a virtual-time run queue in one OS thread
+    /// (the default).
     #[default]
-    Threads,
-    /// All ranks as cooperative fibers over a virtual-time run queue in one OS thread.
     Coop,
     /// The virtual-time run queue sharded over `MATCH_WORKERS` worker threads, each
     /// owning a contiguous rank block of pinned fibers.
@@ -130,29 +109,26 @@ pub enum SchedBackend {
 
 impl SchedBackend {
     /// Every backend, in the order benches sweep them.
-    pub const ALL: [SchedBackend; 3] =
-        [SchedBackend::Threads, SchedBackend::Coop, SchedBackend::Par];
+    pub const ALL: [SchedBackend; 2] = [SchedBackend::Coop, SchedBackend::Par];
 
     /// Reads the backend from the `MATCH_BACKEND` environment variable, defaulting to
-    /// [`SchedBackend::Threads`]. Unrecognized values fall back to the default (with a
+    /// [`SchedBackend::Coop`]. Unrecognized values fall back to the default (with a
     /// warning on stderr) rather than aborting a long bench run.
     pub fn from_env() -> SchedBackend {
         match std::env::var(BACKEND_ENV_VAR) {
-            Err(_) => SchedBackend::Threads,
+            Err(_) => SchedBackend::Coop,
             Ok(s) => s.parse().unwrap_or_else(|_| {
                 eprintln!(
-                    "warning: {BACKEND_ENV_VAR}='{s}' is not a backend (threads|coop|par); \
-                     using threads"
+                    "warning: {BACKEND_ENV_VAR}='{s}' is not a backend (coop|par); using coop"
                 );
-                SchedBackend::Threads
+                SchedBackend::Coop
             }),
         }
     }
 
-    /// The backend's canonical name (`"threads"` / `"coop"` / `"par"`).
+    /// The backend's canonical name (`"coop"` / `"par"`).
     pub fn name(self) -> &'static str {
         match self {
-            SchedBackend::Threads => "threads",
             SchedBackend::Coop => "coop",
             SchedBackend::Par => "par",
         }
@@ -164,7 +140,6 @@ impl std::str::FromStr for SchedBackend {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "threads" | "thread" => Ok(SchedBackend::Threads),
             "coop" | "fiber" | "fibers" => Ok(SchedBackend::Coop),
             "par" | "parallel" => Ok(SchedBackend::Par),
             other => Err(format!("unknown scheduler backend '{other}'")),
@@ -211,74 +186,6 @@ pub trait RankScheduler {
         F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync;
 }
 
-/// The thread-per-rank backend: every rank is an OS thread; blocked operations wait
-/// on condition variables and are woken explicitly on failure transitions (with a
-/// long timeout as a pure fallback). See the module docs for when to prefer it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadScheduler;
-
-impl RankScheduler for ThreadScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> Vec<RankOutcome<R>>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        let nprocs = state.nprocs;
-        let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
-        let mut spawn_error: Option<std::io::Error> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nprocs);
-            for rank in 0..nprocs {
-                let rank_state = Arc::clone(&state);
-                let builder = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(config.stack_size);
-                let spawned = builder.spawn_scoped(scope, move || {
-                    let mut ctx = RankCtx::new(rank, rank_state);
-                    let result = body(&mut ctx);
-                    RankOutcome {
-                        rank,
-                        result,
-                        finish_time: ctx.now(),
-                        breakdown: *ctx.breakdown(),
-                        stats: *ctx.stats(),
-                    }
-                });
-                match spawned {
-                    Ok(handle) => handles.push(handle),
-                    Err(error) => {
-                        // The host ran out of threads mid-job. Abort the cluster so
-                        // the already-spawned ranks drain out of their blocked
-                        // operations (the abort wakes every waiter) instead of
-                        // waiting forever for peers that will never exist; the
-                        // spawn failure is reported after they have been joined.
-                        state.set_abort(-1);
-                        spawn_error = Some(error);
-                        break;
-                    }
-                }
-            }
-            for handle in handles {
-                let outcome = handle.join().expect("rank thread panicked");
-                let rank = outcome.rank;
-                outcomes[rank] = Some(outcome);
-            }
-        });
-        if let Some(error) = spawn_error {
-            panic!("failed to spawn rank thread for a {nprocs}-rank job: {error}");
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("missing rank outcome"))
-            .collect()
-    }
-}
-
 /// Identifies what a cooperatively scheduled rank is parked on: a wait channel.
 ///
 /// Keys are plain integers carved out of disjoint ranges so they can never collide:
@@ -306,10 +213,9 @@ impl WaitKey {
 }
 
 /// Hook through which [`ClusterState`](crate::state::ClusterState) reaches the
-/// cooperative scheduler of the job it belongs to: cluster-wide condition changes
-/// (failure publication, recovery parking, revocation, abort) must wake every parked
-/// task so it re-evaluates its abort/quiescence predicates — the cooperative analogue
-/// of the thread backend's condvar broadcast.
+/// scheduler of the job it belongs to: cluster-wide condition changes (failure
+/// publication, recovery parking, revocation, abort) must wake every parked task so
+/// it re-evaluates its abort/quiescence predicates.
 pub(crate) trait JobWaker: Send + Sync {
     /// Makes every parked task runnable again.
     fn wake_all_parked(&self);
@@ -333,8 +239,8 @@ pub struct WaitToken {
 }
 
 impl WaitToken {
-    /// A token that always validates (thread/coop backends, where validation is
-    /// unnecessary: threads sleep on condvars, coop parks atomically).
+    /// A token that always validates (the `coop` backend, where validation is
+    /// unnecessary: its check-then-park runs atomically on one OS thread).
     pub(crate) fn immediate(key: WaitKey) -> WaitToken {
         WaitToken {
             key,
@@ -344,8 +250,8 @@ impl WaitToken {
     }
 }
 
-/// The per-rank park/wake handle of whichever fiber backend the rank runs on. Held by
-/// [`RankCtx`] when (and only when) the rank runs on the `coop` or `par` backend.
+/// The per-rank park/wake handle of the backend the rank runs on, held by its
+/// [`RankCtx`].
 #[derive(Debug, Clone)]
 pub(crate) enum Yielder {
     /// Single-threaded cooperative scheduling: parks are unconditional (the
@@ -390,7 +296,7 @@ mod tests {
 
     #[test]
     fn backend_parses_and_prints() {
-        assert_eq!("threads".parse::<SchedBackend>(), Ok(SchedBackend::Threads));
+        assert!("threads".parse::<SchedBackend>().is_err());
         assert_eq!("Coop".parse::<SchedBackend>(), Ok(SchedBackend::Coop));
         assert_eq!("fibers".parse::<SchedBackend>(), Ok(SchedBackend::Coop));
         assert_eq!("par".parse::<SchedBackend>(), Ok(SchedBackend::Par));
@@ -398,8 +304,8 @@ mod tests {
         assert!("green-threads".parse::<SchedBackend>().is_err());
         assert_eq!(SchedBackend::Coop.to_string(), "coop");
         assert_eq!(SchedBackend::Par.to_string(), "par");
-        assert_eq!(SchedBackend::default(), SchedBackend::Threads);
-        assert_eq!(SchedBackend::ALL.len(), 3);
+        assert_eq!(SchedBackend::default(), SchedBackend::Coop);
+        assert_eq!(SchedBackend::ALL.len(), 2);
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! failure detection compares virtual timestamps, deliver-vs-abort consults virtual
 //! quiescence, collective completion is `max(entry) + max(cost)` over all members.
 //! Host interleaving can therefore change *when on the wall clock* a rank runs, but
-//! never *what it computes* — the `threads` backend (maximally racy: one OS thread
-//! per rank, no run queue at all) proves this property, and the backend-equivalence
-//! suite enforces it. What a multi-worker scheduler must guarantee is the blocking
+//! never *what it computes* — the backend-equivalence suite enforces this against
+//! `coop` at every worker count. What a multi-worker scheduler must guarantee is the blocking
 //! semantics: no lost wakeups, panics propagated, deadlocks diagnosed. It does **not**
 //! need to emulate the single-threaded pop order across blocks, so workers run their
 //! blocks freely and only synchronise at communication edges.
@@ -80,7 +79,7 @@ use crate::runtime::{ClusterConfig, RankOutcome};
 use crate::state::ClusterState;
 use crate::time::SimTime;
 
-use super::{JobWaker, RankScheduler, WaitKey, WaitToken};
+use super::{JobWaker, RankScheduler, WaitKey, WaitToken, Yielder};
 
 /// Shard count of the wait-channel registry (power of two; keys are spread with a
 /// 64-bit mix so address-derived keys don't collide into one shard).
@@ -239,18 +238,9 @@ impl ParShared {
         }
         // SAFETY: pinned-fiber switch discipline (see ParShared's Sync rationale);
         // the owning worker's scheduler context was saved when it resumed this fiber.
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
         unsafe {
             super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx(self.owner(rank)));
         }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        unreachable!("parallel tasks cannot exist without fiber support");
     }
 
     /// Wakes every rank parked on `key`, invalidating in-flight tokens first.
@@ -306,18 +296,9 @@ impl ParShared {
         loop {
             // SAFETY: as in `park`; finished ranks are never re-enqueued, so the
             // owning worker never resumes this context and the loop body runs once.
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
             unsafe {
                 super::fiber::switch_context(self.task_ctx(rank), *self.sched_ctx(worker));
             }
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            unreachable!("parallel tasks cannot exist without fiber support");
         }
     }
 
@@ -429,45 +410,11 @@ impl ParYielder {
     }
 }
 
-/// The parallel scheduler backend (see the module docs). On targets without fiber
-/// support it transparently degrades to [`ThreadScheduler`](super::ThreadScheduler) —
-/// results are identical by the [`RankScheduler`] contract, only the scaling differs.
+/// The parallel scheduler backend (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParScheduler;
 
-impl RankScheduler for ParScheduler {
-    fn run_job<R, F>(
-        &self,
-        config: &ClusterConfig,
-        state: Arc<ClusterState>,
-        body: &F,
-    ) -> Vec<RankOutcome<R>>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-    {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            run_workers(config, state, body)
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            super::ThreadScheduler.run_job(config, state, body)
-        }
-    }
-}
-
 /// Everything one fiber needs, at a stable address for the fiber's whole lifetime.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 struct ParRankJob<R, F> {
     rank: usize,
     state: Arc<ClusterState>,
@@ -477,10 +424,6 @@ struct ParRankJob<R, F> {
     panic_slot: *mut Option<Box<dyn std::any::Any + Send>>,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 extern "C" fn fiber_main<R, F>(arg: *mut ()) -> !
 where
     R: Send,
@@ -495,9 +438,9 @@ where
             shared: Arc::clone(&job.shared),
             rank,
         };
-        let mut ctx = RankCtx::new_par(rank, Arc::clone(&job.state), yielder);
+        let mut ctx = RankCtx::new(rank, Arc::clone(&job.state), Yielder::Par(yielder));
         // SAFETY: `body` outlives the worker loops (it is a reference held by the
-        // caller of run_workers); fibers never outlive that call.
+        // caller of run_job); fibers never outlive that call.
         let result = unsafe { (*job.body)(&mut ctx) };
         RankOutcome {
             rank,
@@ -508,7 +451,7 @@ where
         }
     }));
     match outcome {
-        // SAFETY: `out` points into a vector owned by run_workers, which only reads
+        // SAFETY: `out` points into a vector owned by run_job, which only reads
         // it after the worker threads have joined; slot `rank` is written by this
         // fiber alone.
         Ok(o) => unsafe { *job.out = Some(o) },
@@ -525,10 +468,6 @@ where
 }
 
 /// Reads the optional `MATCH_HORIZON` pacing bound (simulated seconds).
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 fn horizon_from_env() -> Option<f64> {
     let s = std::env::var(super::HORIZON_ENV_VAR).ok()?;
     match s.trim().parse::<f64>() {
@@ -543,110 +482,105 @@ fn horizon_from_env() -> Option<f64> {
     }
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn run_workers<R, F>(
-    config: &ClusterConfig,
-    state: Arc<ClusterState>,
-    body: &F,
-) -> Vec<RankOutcome<R>>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
-{
-    use super::fiber::Fiber;
+impl RankScheduler for ParScheduler {
+    fn run_job<R, F>(
+        &self,
+        config: &ClusterConfig,
+        state: Arc<ClusterState>,
+        body: &F,
+    ) -> Vec<RankOutcome<R>>
+    where
+        R: Send,
+        F: Fn(&mut RankCtx) -> Result<R, MpiError> + Sync,
+    {
+        use super::fiber::Fiber;
 
-    let nprocs = state.nprocs;
-    let nworkers = super::resolve_workers(config.workers).min(nprocs).max(1);
-    let horizon = horizon_from_env();
-    let shared = Arc::new(ParShared::new(nprocs, nworkers));
-    state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
+        let nprocs = state.nprocs;
+        let nworkers = super::resolve_workers(config.workers).min(nprocs).max(1);
+        let horizon = horizon_from_env();
+        let shared = Arc::new(ParShared::new(nprocs, nworkers));
+        state.set_job_waker(Arc::clone(&shared) as Arc<dyn JobWaker>);
 
-    let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
-    let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> =
-        (0..nprocs).map(|_| None).collect();
+        let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..nprocs).map(|_| None).collect();
+        let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> =
+            (0..nprocs).map(|_| None).collect();
 
-    let jobs: Vec<ParRankJob<R, F>> = (0..nprocs)
-        .map(|rank| ParRankJob {
-            rank,
-            state: Arc::clone(&state),
-            shared: Arc::clone(&shared),
-            body: body as *const F,
-            // SAFETY: in-bounds (`rank < nprocs`, the vector's length); the vector
-            // is never resized while fibers live.
-            out: unsafe { outcomes.as_mut_ptr().add(rank) },
-            // SAFETY: same in-bounds offset into the equally sized panics vector.
-            panic_slot: unsafe { panics.as_mut_ptr().add(rank) },
-        })
-        .collect();
+        let jobs: Vec<ParRankJob<R, F>> = (0..nprocs)
+            .map(|rank| ParRankJob {
+                rank,
+                state: Arc::clone(&state),
+                shared: Arc::clone(&shared),
+                body: body as *const F,
+                // SAFETY: in-bounds (`rank < nprocs`, the vector's length); the vector
+                // is never resized while fibers live.
+                out: unsafe { outcomes.as_mut_ptr().add(rank) },
+                // SAFETY: same in-bounds offset into the equally sized panics vector.
+                panic_slot: unsafe { panics.as_mut_ptr().add(rank) },
+            })
+            .collect();
 
-    let mut fibers: Vec<Fiber> = jobs
-        .iter()
-        .map(|job| {
-            Fiber::new(
-                config.stack_size,
-                fiber_main::<R, F>,
-                job as *const ParRankJob<R, F> as *mut (),
-            )
-        })
-        .collect();
-    for (rank, fiber) in fibers.iter_mut().enumerate() {
-        // SAFETY: installing each fiber's initial context into its switch slot before
-        // the workers spawn; the spawn synchronises the writes.
-        unsafe { *shared.task_ctx(rank) = *fiber.context_slot() };
-    }
-
-    let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nworkers);
-        for w in 0..nworkers {
-            let shared = Arc::clone(&shared);
-            let state = Arc::clone(&state);
-            let builder = std::thread::Builder::new().name(format!("par-worker-{w}"));
-            let handle = builder
-                .spawn_scoped(scope, move || worker_loop(&shared, &state, w, horizon))
-                .expect("failed to spawn par worker thread");
-            handles.push(handle);
+        let mut fibers: Vec<Fiber> = jobs
+            .iter()
+            .map(|job| {
+                Fiber::new(
+                    config.stack_size,
+                    fiber_main::<R, F>,
+                    job as *const ParRankJob<R, F> as *mut (),
+                )
+            })
+            .collect();
+        for (rank, fiber) in fibers.iter_mut().enumerate() {
+            // SAFETY: installing each fiber's initial context into its switch slot before
+            // the workers spawn; the spawn synchronises the writes.
+            unsafe { *shared.task_ctx(rank) = *fiber.context_slot() };
         }
-        for handle in handles {
-            if let Err(p) = handle.join() {
-                // A worker died (deadlock diagnosis, or a bug): make sure its peers
-                // drain out, keep the first payload, and re-raise it below.
-                shared.abandon_job();
-                worker_panic.get_or_insert(p);
+
+        let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(nworkers);
+            for w in 0..nworkers {
+                let shared = Arc::clone(&shared);
+                let state = Arc::clone(&state);
+                let builder = std::thread::Builder::new().name(format!("par-worker-{w}"));
+                let handle = builder
+                    .spawn_scoped(scope, move || worker_loop(&shared, &state, w, horizon))
+                    .expect("failed to spawn par worker thread");
+                handles.push(handle);
             }
-        }
-    });
+            for handle in handles {
+                if let Err(p) = handle.join() {
+                    // A worker died (deadlock diagnosis, or a bug): make sure its peers
+                    // drain out, keep the first payload, and re-raise it below.
+                    shared.abandon_job();
+                    worker_panic.get_or_insert(p);
+                }
+            }
+        });
 
-    state.clear_job_waker();
-    if let Some(p) = panics.iter_mut().find_map(Option::take) {
-        // Mirror the thread backend's join-propagation. Unfinished fibers are
-        // abandoned: their stacks are unmapped without unwinding, which can leak
-        // heap objects held by suspended frames — acceptable for a dying job.
+        state.clear_job_waker();
+        if let Some(p) = panics.iter_mut().find_map(Option::take) {
+            // Mirror `JoinHandle::join`'s panic propagation. Unfinished fibers are
+            // abandoned: their stacks are unmapped without unwinding, which can leak
+            // heap objects held by suspended frames — acceptable for a dying job.
+            drop(fibers);
+            std::panic::resume_unwind(p);
+        }
+        if let Some(p) = worker_panic {
+            drop(fibers);
+            std::panic::resume_unwind(p);
+        }
         drop(fibers);
-        std::panic::resume_unwind(p);
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("missing rank outcome"))
+            .collect()
     }
-    if let Some(p) = worker_panic {
-        drop(fibers);
-        std::panic::resume_unwind(p);
-    }
-    drop(fibers);
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("missing rank outcome"))
-        .collect()
 }
 
 /// One worker's scheduler loop: pop the lowest-clock owned rank, publish its clock as
 /// the watermark, optionally pace against the slowest peer, switch into the fiber;
 /// when the heap is empty, exit if all owned ranks finished, otherwise census and
 /// idle-wait.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 fn worker_loop(shared: &ParShared, state: &ClusterState, me: usize, horizon: Option<f64>) {
     use super::fiber::switch_context;
 
@@ -707,10 +641,6 @@ fn worker_loop(shared: &ParShared, state: &ClusterState, me: usize, horizon: Opt
 /// than `horizon` simulated seconds ahead of the slowest *non-idle* peer. Idle peers
 /// publish `u64::MAX` and exert no back-pressure — their parked ranks cannot run
 /// until someone (possibly this worker) progresses, so gating on them would deadlock.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 fn pace(shared: &ParShared, me: usize, clock: u64, horizon: f64) {
     let mine = f64::from_bits(clock);
     loop {

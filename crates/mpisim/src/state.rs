@@ -1,13 +1,12 @@
 //! Cluster-wide shared state.
 //!
-//! One [`ClusterState`] is shared (via `Arc`) by every rank thread of a simulated job.
+//! One [`ClusterState`] is shared (via `Arc`) by every rank of a simulated job.
 //! It owns the machine model, the topology, the per-rank mailboxes, the liveness table,
 //! the world communicator, the registry of derived communicators (so they can be reset
 //! during repair) and the global rendezvous used by recovery.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -91,13 +90,9 @@ pub struct ClusterState {
     pending_node_failures: Mutex<Vec<usize>>,
     /// Rendezvous over *all* ranks used by global-restart recovery and job completion.
     pub recovery_slot: CollSlot,
-    /// Wake-up hook into the cooperative scheduler of the job this state belongs to
-    /// (`None` on the thread backend). Cluster-wide condition changes must wake every
-    /// cooperatively parked task, exactly like the condvar broadcasts wake blocked
-    /// threads.
+    /// Wake-up hook into the scheduler of the job this state belongs to (`None`
+    /// outside a job). Cluster-wide condition changes must wake every parked task.
     job_waker: Mutex<Option<Arc<dyn crate::sched::JobWaker>>>,
-    /// How long blocked operations sleep between failure checks (host time).
-    pub poll_interval: Duration,
     /// A small shared blackboard for tests and out-of-band coordination.
     pub blackboard: Mutex<std::collections::HashMap<String, Vec<u8>>>,
 }
@@ -139,10 +134,6 @@ impl ClusterState {
             pending_node_failures: Mutex::new(Vec::new()),
             recovery_slot: CollSlot::new(nprocs),
             job_waker: Mutex::new(None),
-            // A fallback only: failure/revoke/abort transitions wake blocked
-            // operations explicitly (`wake_all_waiters`), so receivers no longer need
-            // a fast heartbeat to notice them.
-            poll_interval: Duration::from_millis(5),
             blackboard: Mutex::new(std::collections::HashMap::new()),
         })
     }
@@ -174,26 +165,42 @@ impl ClusterState {
     /// epoch is retained (see [`ClusterState::fail_time`]). Returns true if the rank
     /// was alive before the call.
     pub fn mark_failed_at(&self, rank: usize, at: SimTime) -> bool {
-        let changed = {
-            let mut st = self.liveness[rank].lock();
-            if *st == ProcState::Alive {
-                *st = ProcState::Failed;
-                // Record the failure instant *before* publishing the liveness change,
-                // so any rank that observes the failure also sees its timestamp.
+        self.mark_failed_burst(&[rank], at) == 1
+    }
+
+    /// Marks every still-alive rank of `ranks` failed at virtual time `at` as *one*
+    /// burst, and returns how many were newly marked. Every victim's liveness lock is
+    /// held until the whole burst is counted (the failure instant, the liveness
+    /// flags, the event counts, then [`ClusterState::failed_count`]), so no rank can
+    /// observe the burst half-published: one that sees a victim dead, or sees
+    /// `failed_count() > 0` (the injector's detection barrier releases on it), also
+    /// sees every event of the burst, whichever thread it runs on.
+    pub(crate) fn mark_failed_burst(&self, ranks: &[usize], at: SimTime) -> usize {
+        let mut victims = ranks.to_vec();
+        // Ascending lock order; no other path holds two liveness locks at once.
+        victims.sort_unstable();
+        victims.dedup();
+        let mut guards: Vec<_> = victims
+            .iter()
+            .map(|&rank| (rank, self.liveness[rank].lock()))
+            .collect();
+        let mut newly = 0;
+        for (rank, st) in &mut guards {
+            if **st == ProcState::Alive {
                 self.fail_time_bits
                     .fetch_min(at.as_secs().to_bits(), Ordering::SeqCst);
-                self.nfailed.fetch_add(1, Ordering::SeqCst);
+                **st = ProcState::Failed;
                 let count = self.failure_events.fetch_add(1, Ordering::SeqCst) + 1;
-                self.death_events[rank].store(count, Ordering::SeqCst);
-                true
-            } else {
-                false
+                self.death_events[*rank].store(count, Ordering::SeqCst);
+                newly += 1;
             }
-        };
-        if changed {
+        }
+        self.nfailed.fetch_add(newly, Ordering::SeqCst);
+        drop(guards);
+        if newly > 0 {
             self.wake_all_waiters();
         }
-        changed
+        newly
     }
 
     /// The virtual time of the earliest failure of the current disruption epoch, or
@@ -233,37 +240,23 @@ impl ClusterState {
         std::mem::take(&mut *self.pending_node_failures.lock())
     }
 
-    /// Wakes every thread blocked in a receive or a collective so it re-checks the
-    /// cluster health immediately. Called on every cluster-wide condition change
-    /// (failure, global-disruption declaration, abort); this event-driven notification
-    /// is what allows the blocked-operation poll interval to be long (a pure fallback)
-    /// instead of a 200 µs busy heartbeat per blocked rank. On the cooperative
-    /// backend the same call wakes every parked fiber instead.
+    /// Wakes every rank parked in a receive, a collective or a rendezvous so it
+    /// re-checks the cluster health. Called on every cluster-wide condition change
+    /// (failure, recovery parking, global-disruption declaration, revocation, abort).
     pub fn wake_all_waiters(&self) {
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-        let comms = self.comms.lock();
-        for weak in comms.iter() {
-            if let Some(comm) = weak.upgrade() {
-                comm.slot.wake_all();
-            }
-        }
-        drop(comms);
-        self.recovery_slot.wake_all();
         let waker = self.job_waker.lock().clone();
         if let Some(waker) = waker {
             waker.wake_all_parked();
         }
     }
 
-    /// Installs the cooperative scheduler's wake-up hook for the duration of a job
-    /// (see [`ClusterState::wake_all_waiters`]).
+    /// Installs the scheduler's wake-up hook for the duration of a job (see
+    /// [`ClusterState::wake_all_waiters`]).
     pub(crate) fn set_job_waker(&self, waker: Arc<dyn crate::sched::JobWaker>) {
         *self.job_waker.lock() = Some(waker);
     }
 
-    /// Removes the cooperative wake-up hook at the end of a job.
+    /// Removes the scheduler's wake-up hook at the end of a job.
     pub(crate) fn clear_job_waker(&self) {
         *self.job_waker.lock() = None;
     }

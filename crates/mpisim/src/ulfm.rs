@@ -16,17 +16,12 @@
 //! the spawn + merge + agree steps.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::comm::{Comm, CommShared, SurvivorResult};
 use crate::ctx::RankCtx;
 use crate::error::MpiError;
 use crate::sched::WaitKey;
 use crate::time::SimTime;
-
-/// How often survivor-only rendezvous re-check for completion (thread backend only;
-/// the cooperative backend parks on the rendezvous channel instead of polling).
-const POLL: Duration = Duration::from_micros(200);
 
 /// Revokes a communicator (`MPIX_Comm_revoke`).
 ///
@@ -36,8 +31,7 @@ const POLL: Duration = Duration::from_micros(200);
 /// the modelled revoke propagation cost.
 pub fn comm_revoke(ctx: &mut RankCtx, comm: &Comm) {
     comm.shared().revoke();
-    // Wake blocked members so they observe the revocation immediately rather than on
-    // their next poll-timeout.
+    // Wake blocked members so they observe the revocation.
     ctx.cluster().wake_all_waiters();
     let cost = ctx.machine().ulfm_revoke_cost(comm.size());
     ctx.elapse(cost);
@@ -245,7 +239,7 @@ pub fn shrink_recovery(
                 }
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        ctx.park(token);
     }
 }
 
@@ -307,7 +301,7 @@ fn survivor_rendezvous(
                 break seq;
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        ctx.park(token);
     };
 
     loop {
@@ -373,7 +367,7 @@ fn survivor_rendezvous(
                 }
             }
         }
-        ctx.park_or_sleep(token, POLL);
+        ctx.park(token);
     }
 }
 
@@ -389,14 +383,6 @@ fn alive_members_of(cluster: &crate::state::ClusterState, comm: &CommShared) -> 
 mod tests {
     use super::*;
     use crate::runtime::{Cluster, ClusterConfig};
-    use crate::sched::SchedBackend;
-
-    /// Some tests below busy-wait in host time inside rank closures, which is only
-    /// legal on the thread backend (a cooperative rank must block through simulated
-    /// operations). Pin them so an exported `MATCH_BACKEND=coop` cannot hang them.
-    fn thread_cluster(nprocs: usize) -> Cluster {
-        Cluster::new(ClusterConfig::with_ranks(nprocs).backend(SchedBackend::Threads))
-    }
 
     #[test]
     fn revoke_poisons_collectives() {
@@ -422,15 +408,13 @@ mod tests {
 
     #[test]
     fn failure_ack_lists_failed_members() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             if ctx.rank() == 2 {
                 ctx.fail_rank(2);
             }
             // Wait until the failure is visible everywhere.
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let world = ctx.world();
             Ok(comm_failure_ack(ctx, &world))
         });
@@ -441,7 +425,7 @@ mod tests {
 
     #[test]
     fn shrink_and_agree_among_survivors() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
@@ -449,9 +433,7 @@ mod tests {
                 return Err(ctx.kill_self());
             }
             // Survivors wait until they can see the failure, then shrink.
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let shrunk = comm_shrink(ctx, &world)?;
             assert_eq!(shrunk.size(), 3);
             assert!(!shrunk.contains(1));
@@ -480,15 +462,13 @@ mod tests {
 
     #[test]
     fn shrink_recovery_retires_the_dead_and_continues_on_the_survivor_comm() {
-        let cluster = thread_cluster(4);
+        let cluster = Cluster::new(ClusterConfig::with_ranks(4));
         let outcome = cluster.run(|ctx| {
             let world = ctx.world();
             if ctx.rank() == 1 {
                 return Err(ctx.kill_self());
             }
-            while ctx.failed_ranks().is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+            ctx.wait_for_failure_events(1);
             let cost = shrinking_recovery_cost(ctx, world.size());
             let shrunk = shrink_recovery(ctx, &world, cost, |_crashed| {})?;
             assert_eq!(shrunk.size(), 3);

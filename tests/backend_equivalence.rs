@@ -1,10 +1,9 @@
-//! Backend-equivalence suite: the `threads`, `coop` and `par` scheduler backends must
-//! be observationally indistinguishable — every run is a pure function of virtual
-//! time, so a job's results, time breakdowns, statistics and per-attempt accounting
-//! must be **bit-identical** across backends (and, for `par`, across any worker
-//! count), with and without injected failures. This is the contract of
-//! `mpisim::RankScheduler`, and it is what lets the experiment cache key omit the
-//! backend entirely.
+//! Backend-equivalence suite: the `coop` and `par` scheduler backends must be
+//! observationally indistinguishable — every run is a pure function of virtual time,
+//! so a job's results, time breakdowns, statistics and per-attempt accounting must be
+//! **bit-identical** across backends (and, for `par`, across any worker count), with
+//! and without injected failures. This is the contract of `mpisim::RankScheduler`,
+//! and it is what lets the experiment cache key omit the backend entirely.
 
 /// The `par` worker counts every equivalence test sweeps: the degenerate single
 /// worker, small shard counts that split 4 ranks unevenly, and more workers than
@@ -125,19 +124,11 @@ fn resilient_config() -> FtiConfig {
 fn failure_free_runs_are_bit_identical_across_backends() {
     for strategy in RecoveryStrategy::ALL {
         let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            strategy,
-            FailureTrace::none(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
             SchedBackend::Coop,
             strategy,
             FailureTrace::none(),
             resilient_config(),
         );
-        assert_eq!(a, b, "{strategy}: per-rank observations diverged");
-        assert_eq!(ba, bb, "{strategy}: time breakdowns diverged");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -157,12 +148,6 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
     let trace = FailureTrace::schedule(vec![FailureSpec::crash_node(1, 6)]);
     for strategy in RecoveryStrategy::ALL {
         let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            strategy,
-            trace.clone(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
             SchedBackend::Coop,
             strategy,
             trace.clone(),
@@ -176,8 +161,6 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
                 .all(|o| o.recoveries >= 1),
             "{strategy}: no recovery"
         );
-        assert_eq!(a, b, "{strategy}: node-crash observations diverged");
-        assert_eq!(ba, bb, "{strategy}: node-crash breakdowns diverged");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -200,7 +183,7 @@ fn node_crash_recovery_is_bit_identical_across_backends() {
 
 /// The dedicated shrink leg: a *partitioned* dataset (so the shrinking recovery
 /// actually moves blocks between survivors) run under `SHRINK-FTI` must be
-/// bit-identical across `threads`, `coop` and `par` at every worker count — the
+/// bit-identical across `coop` and `par` at every worker count — the
 /// redistribution messages are part of the virtual-time contract.
 #[test]
 fn shrink_redistribution_is_bit_identical_across_backends() {
@@ -281,7 +264,7 @@ fn shrink_redistribution_is_bit_identical_across_backends() {
         (observations, outcome.max_breakdown())
     };
 
-    let (a, ba) = run(SchedBackend::Threads, 0);
+    let (a, ba) = run(SchedBackend::Coop, 0);
     // The casualty reports no value; every survivor owns part of the full array and
     // agrees on the global sum (each element advanced by every one of the 12 steps).
     assert_eq!(a[2].value, None);
@@ -291,9 +274,6 @@ fn shrink_redistribution_is_bit_identical_across_backends() {
             assert_eq!(o.value, Some(expected), "rank {rank}");
         }
     }
-    let (b, bb) = run(SchedBackend::Coop, 0);
-    assert_eq!(a, b, "shrink redistribution diverged on coop");
-    assert_eq!(ba, bb, "shrink breakdowns diverged on coop");
     for workers in PAR_WORKERS {
         let (c, bc) = run(SchedBackend::Par, workers);
         assert_eq!(a, c, "shrink redistribution diverged on par[w={workers}]");
@@ -312,21 +292,13 @@ fn simultaneous_kills_under_shrink_are_bit_identical_across_backends() {
         FailureSpec::kill_process(1, 12),
         FailureSpec::kill_process(3, 12),
     ]);
+    let (a, ba) = run_trace_on(
+        SchedBackend::Coop,
+        RecoveryStrategy::Shrink,
+        trace.clone(),
+        resilient_config(),
+    );
     for _ in 0..12 {
-        let (a, ba) = run_trace_on(
-            SchedBackend::Threads,
-            RecoveryStrategy::Shrink,
-            trace.clone(),
-            resilient_config(),
-        );
-        let (b, bb) = run_trace_on(
-            SchedBackend::Coop,
-            RecoveryStrategy::Shrink,
-            trace.clone(),
-            resilient_config(),
-        );
-        assert_eq!(a, b, "double-kill shrink diverged on coop");
-        assert_eq!(ba, bb, "double-kill shrink breakdowns diverged on coop");
         for workers in PAR_WORKERS {
             let (c, bc) = run_trace_on_workers(
                 SchedBackend::Par,
@@ -344,17 +316,53 @@ fn simultaneous_kills_under_shrink_are_bit_identical_across_backends() {
     }
 }
 
+/// Regression: a node crash and a process kill landing at the SAME iteration must
+/// fire as one disruption epoch on every backend, for every design. The crash's
+/// two-victim burst used to be published one victim at a time, so a rank on another
+/// worker thread could wake at the injector's detection barrier mid-burst, read too
+/// few failure events, and skip its own same-iteration kill — splitting the epoch
+/// into two recoveries (attempts 3 / recoveries 2 instead of coop's 2 / 1).
+#[test]
+fn same_iteration_crash_and_kill_are_one_epoch_across_backends() {
+    let trace = FailureTrace::schedule(vec![
+        FailureSpec::crash_node(0, 12),
+        FailureSpec::kill_process(3, 12),
+    ]);
+    for strategy in RecoveryStrategy::ALL {
+        let (a, ba) = run_trace_on(
+            SchedBackend::Coop,
+            strategy,
+            trace.clone(),
+            resilient_config(),
+        );
+        for _ in 0..12 {
+            for workers in [2, 4, 8] {
+                let (c, bc) = run_trace_on_workers(
+                    SchedBackend::Par,
+                    workers,
+                    strategy,
+                    trace.clone(),
+                    resilient_config(),
+                );
+                assert_eq!(
+                    a, c,
+                    "{strategy}: crash+kill epoch diverged on par[w={workers}]"
+                );
+                assert_eq!(
+                    ba, bc,
+                    "{strategy}: crash+kill breakdowns diverged on par[w={workers}]"
+                );
+            }
+        }
+    }
+}
+
 /// A rank program that blocks with no simulated event left to produce — here a
 /// receive cycle nobody ever feeds — must be *diagnosed* by the `par` backend with a
 /// panic naming the parked ranks, not hang the suite.
 #[test]
 #[should_panic(expected = "parallel scheduler deadlock")]
 fn par_diagnoses_receive_cycles_instead_of_hanging() {
-    if !match_core::mpisim::COOP_SUPPORTED {
-        // Without fiber support `par` falls back to thread-per-rank, which cannot
-        // diagnose; keep the should_panic contract honest on such hosts.
-        panic!("parallel scheduler deadlock diagnosis needs fiber support");
-    }
     let cluster = Cluster::new(
         ClusterConfig::with_ranks(NPROCS)
             .backend(SchedBackend::Par)
@@ -382,8 +390,6 @@ fn experiment_run_reports_are_equal_across_backends() {
     .with_failure(true);
     let saved = std::env::var("MATCH_BACKEND").ok();
     let saved_workers = std::env::var("MATCH_WORKERS").ok();
-    std::env::set_var("MATCH_BACKEND", "threads");
-    let threads = runner::run_experiment_uncached(&experiment).unwrap();
     std::env::set_var("MATCH_BACKEND", "coop");
     let coop = runner::run_experiment_uncached(&experiment).unwrap();
     std::env::set_var("MATCH_BACKEND", "par");
@@ -398,24 +404,16 @@ fn experiment_run_reports_are_equal_across_backends() {
         None => std::env::remove_var("MATCH_WORKERS"),
     }
     assert_eq!(
-        threads, coop,
+        coop, par,
         "RunReports must be bit-identical across backends (the cache key omits the \
          backend on the strength of this)"
     );
-    assert_eq!(
-        threads, par,
-        "RunReports must be bit-identical on the par backend too"
-    );
-    assert!(threads.failure_injected && threads.restarts >= 1);
+    assert!(coop.failure_injected && coop.restarts >= 1);
 }
 
 /// CI slow-lane smoke (run with `--ignored`): a 4096-rank cooperative job — with a
 /// failure, a global-restart recovery and FTI checkpoint/restore — completes in a
-/// single process on one OS thread. Thread-per-rank at this scale needs 4096 host
-/// threads and is two orders of magnitude slower on the *trivial* scale kernel
-/// alone (measured 18.3 s vs 0.17 s on the 1-core container, sys-time dominated);
-/// with the driver's full blocking traffic it is infeasible, which is the ceiling
-/// the cooperative backend removes.
+/// single process on one OS thread.
 #[test]
 #[ignore = "slow lane: 4096-rank cooperative job"]
 fn coop_runs_4096_ranks_with_failure_recovery_in_one_process() {
@@ -474,8 +472,8 @@ mod proptests {
 
         /// The tentpole property: any seeded trace of up to three events (kills or
         /// node crashes) yields bit-identical per-rank observations and time
-        /// breakdowns under `threads`, `coop` and `par` (at a seed-chosen worker
-        /// count), for every design of the axis — including the shrinking one,
+        /// breakdowns under `coop` and `par` (at a seed-chosen worker count), for
+        /// every design of the axis — including the shrinking one,
         /// whose survivor set and redistribution traffic must also be a pure
         /// function of virtual time.
         #[test]
@@ -497,13 +495,9 @@ mod proptests {
             let trace = FailureTrace::schedule(events);
             for strategy in RecoveryStrategy::ALL {
                 let (a, ba) = run_trace_on(
-                    SchedBackend::Threads, strategy, trace.clone(), resilient_config());
-                let (b, bb) = run_trace_on(
                     SchedBackend::Coop, strategy, trace.clone(), resilient_config());
                 let (c, bc) = run_trace_on_workers(
                     SchedBackend::Par, workers, strategy, trace.clone(), resilient_config());
-                prop_assert_eq!(&a, &b, "{} diverged on {:?}", strategy, &trace);
-                prop_assert_eq!(&ba, &bb, "{} breakdowns diverged on {:?}", strategy, &trace);
                 prop_assert_eq!(
                     &a, &c, "{} diverged on par[w={}] on {:?}", strategy, workers, &trace);
                 prop_assert_eq!(

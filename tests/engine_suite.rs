@@ -85,7 +85,7 @@ fn parallel_equals_serial_for_figure_rows() {
     );
 
     // With-failure figure: also strictly identical — virtual time never depends on
-    // how the host schedules the engine's workers or the rank threads.
+    // how the host schedules the engine's workers or the rank fibers.
     let serial6 = fig6_with_engine(&serial_engine, &options).expect("serial figure 6");
     let parallel6 = fig6_with_engine(&parallel_engine, &options).expect("parallel figure 6");
     assert_eq!(
